@@ -68,12 +68,11 @@ Point run_backend(store::Backend backend, const client::WorkloadSpec& spec,
     std::uint64_t jent = 0, jbat = 0, jstall = 0;
     double jwait = 0;
     for (std::size_t i = 0; i < cluster.osd_count(); i++) {
-      fs::Journal* j = cluster.osd(i).store().wal();
-      if (j == nullptr) j = &cluster.osd(i).journal();
-      jent += j->entries_written();
-      jbat += j->batches_written();
-      jstall += j->full_stalls();
-      jwait += double(j->full_stall_ns());
+      const fs::Journal& j = cluster.osd(i).journal();
+      jent += j.entries_written();
+      jbat += j.batches_written();
+      jstall += j.full_stalls();
+      jwait += double(j.full_stall_ns());
     }
     if (jent > 0) {
       std::printf("    ring: %llu entries, avg batch %.2f, %llu full stalls (%.1f ms)\n",

@@ -134,7 +134,7 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(i), ssd_cfg));
     osds_.push_back(std::make_unique<osd::Osd>(
         sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[i], cmap_, i, cfg_.osd, cfg_.profile,
-        store_cfg, cfg_.kv, throttle_cfg, cfg_.log, cfg_.journal));
+        store_cfg, cfg_.kv, throttle_cfg, cfg_.log));
     if (auto* tr = trace::Collector::active()) {
       tr->name_track(trace::osd_track(i), "osd." + std::to_string(i));
     }
@@ -240,29 +240,28 @@ RunResult ClusterSim::run(const client::WorkloadSpec& spec) {
   if (ran_) return RunResult{};  // single-shot facade
   ran_ = true;
 
-  client::RunStats stats;
   const Time t0 = sim_.now();
-  stats.window_start = t0 + spec.warmup;
-  stats.window_end = t0 + spec.warmup + spec.runtime;
-  for (auto& vm : vms_) vm->start(spec, stats.window_end, &stats);
-  sim_.run_until(stats.window_end);
+  stats_.window_start = t0 + spec.warmup;
+  stats_.window_end = t0 + spec.warmup + spec.runtime;
+  for (auto& vm : vms_) vm->start(spec, stats_.window_end, &stats_);
+  sim_.run_until(stats_.window_end);
 
   RunResult r;
-  r.write_iops = stats.write_iops();
-  r.read_iops = stats.read_iops();
-  r.write_lat_ms = stats.write_lat.mean_ms();
-  r.read_lat_ms = stats.read_lat.mean_ms();
-  r.write_p99_ms = stats.write_lat.p99_ms();
-  r.read_p99_ms = stats.read_lat.p99_ms();
-  const std::size_t wfrom = std::size_t(stats.window_start / stats.write_series.interval());
-  const std::size_t wto = std::size_t(stats.window_end / stats.write_series.interval());
-  r.write_cov = stats.write_series.cov(wfrom, wto);
-  r.read_cov = stats.read_series.cov(wfrom, wto);
-  r.write_lat = stats.write_lat;
-  r.read_lat = stats.read_lat;
-  r.write_series = stats.write_series;
-  r.read_series = stats.read_series;
-  r.verify_failures = stats.verify_failures;
+  r.write_iops = stats_.write_iops();
+  r.read_iops = stats_.read_iops();
+  r.write_lat_ms = stats_.write_lat.mean_ms();
+  r.read_lat_ms = stats_.read_lat.mean_ms();
+  r.write_p99_ms = stats_.write_lat.p99_ms();
+  r.read_p99_ms = stats_.read_lat.p99_ms();
+  const std::size_t wfrom = std::size_t(stats_.window_start / stats_.write_series.interval());
+  const std::size_t wto = std::size_t(stats_.window_end / stats_.write_series.interval());
+  r.write_cov = stats_.write_series.cov(wfrom, wto);
+  r.read_cov = stats_.read_series.cov(wfrom, wto);
+  r.write_lat = stats_.write_lat;
+  r.read_lat = stats_.read_lat;
+  r.write_series = stats_.write_series;
+  r.read_series = stats_.read_series;
+  r.verify_failures = stats_.verify_failures;
   collect_osd_stats(r);
   report_observability();
   return r;
@@ -464,7 +463,7 @@ sim::CoTask<std::uint64_t> ClusterSim::add_node() {
     ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(id), ssd_cfg));
     osds_.push_back(std::make_unique<osd::Osd>(
         sim_, *osd_nodes_[node_index], *nvrams_[node_index], *ssds_[id], cmap_, id, cfg_.osd,
-        cfg_.profile, store_cfg, cfg_.kv, throttle_cfg, cfg_.log, cfg_.journal));
+        cfg_.profile, store_cfg, cfg_.kv, throttle_cfg, cfg_.log));
     if (auto* tr = trace::Collector::active()) {
       tr->name_track(trace::osd_track(id), "osd." + std::to_string(id));
     }

@@ -76,14 +76,14 @@ struct ClusterConfig {
   dev::SsdModel::Config ssd;
   dev::NvramModel::Config nvram;
   fs::FileStore::Config fs;
-  /// Object-store backend per OSD: kFile (FileStore + external NVRAM
-  /// journal — the default, byte-identical to the pre-FlashStore tree) or
-  /// kFlash (raw-device FlashStore). AFC_STORE=file|flash overrides it at
-  /// runtime without touching bench code.
+  /// Object-store backend per OSD: kFile (FileStore + NVRAM journal, sized
+  /// by `fs.journal` — the default, byte-identical to the pre-FlashStore
+  /// tree) or kFlash (raw-device FlashStore, WAL sized by `flash.wal`).
+  /// AFC_STORE=file|flash overrides it at runtime without touching bench
+  /// code.
   store::Backend store_backend = store::Backend::kFile;
   store::FlashStore::Config flash;
   kv::Db::Config kv;
-  fs::Journal::Config journal;
   net::Connection::Config net;
   osd::DebugLog::Config log;
 };
@@ -176,7 +176,9 @@ class ClusterSim {
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
 
-  /// Run one workload to completion (single use per ClusterSim).
+  /// Run one workload to completion (single use per ClusterSim). Ops still
+  /// in flight at the window's end keep recording into the cluster's own
+  /// stats, so simulating on afterwards is safe and leaves the result as is.
   RunResult run(const client::WorkloadSpec& spec);
 
   // --- component access (tests, examples, custom drivers) --------------
@@ -247,6 +249,9 @@ class ClusterSim {
   sim::CoTask<ScrubReport> deep_scrub_ec(bool repair);
 
   ClusterConfig cfg_;
+  /// run()'s client stats sink. A member, not a run() local: ops that
+  /// resolve after run() returns still record into it.
+  client::RunStats stats_;
   /// Owned only when this ClusterSim installed the collector itself (env
   /// opt-in); run() then also exports the Chrome JSON on completion.
   std::unique_ptr<trace::Collector> tracer_;

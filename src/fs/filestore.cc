@@ -7,8 +7,9 @@
 
 namespace afc::fs {
 
-FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_dev,
-                     kv::Db& omap, const Config& cfg, Counters* counters)
+FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
+                     dev::Device& data_dev, kv::Db& omap, const Config& cfg,
+                     sim::Semaphore& journal_ops, Counters* counters)
     : sim_(sim),
       cpu_(cpu),
       dev_(data_dev),
@@ -16,6 +17,8 @@ FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_
       cfg_(cfg),
       counters_(counters),
       cache_(cfg.page_cache_pages),
+      journal_(sim, journal_dev, cfg.journal),
+      journal_ops_(journal_ops),
       dirty_sem_(sim, cfg.writeback_limit_bytes),
       wb_parallel_(sim, cfg.writeback_parallelism),
       wb_cv_(sim),
@@ -53,7 +56,21 @@ sim::CoTask<void> FileStore::writeback_loop() {
   wb_idle_cv_.notify_all();
 }
 
+sim::CoTask<void> FileStore::reserve(std::uint64_t bytes) {
+  co_await journal_ops_.acquire(1);
+  co_await journal_.reserve(bytes);
+}
+
+sim::CoTask<std::uint64_t> FileStore::queue_transaction(const Transaction& tx,
+                                                        bool /*lightweight*/) {
+  const std::uint64_t seq =
+      co_await journal_.write_entry(tx.encoded_bytes(), tx.encode(), tx.trace);
+  if (seq != 0) journal_ops_.release(1);
+  co_return seq;
+}
+
 void FileStore::close() {
+  journal_.close();
   closing_ = true;
   wb_cv_.notify_all();
 }

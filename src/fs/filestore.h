@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/stats.h"
+#include "fs/journal.h"
 #include "fs/pagecache.h"
 #include "fs/transaction.h"
 #include "kv/db.h"
@@ -29,6 +30,11 @@ namespace afc::fs {
 ///    exist implicitly with 4 MiB of (virtual) data, so writes are
 ///    overwrites that need metadata, without allocating per-object state up
 ///    front.
+///
+/// Write-ahead: the store owns the OSD's NVRAM journal. queue_transaction()
+/// commits a transaction as a journal record; the OSD's apply stage later
+/// runs apply_transaction() and retires the record (wal().mark_applied), so
+/// every byte is written twice — the double-write the paper measures.
 class FileStore final : public store::ObjectStore {
  public:
   struct Config {
@@ -54,13 +60,26 @@ class FileStore final : public store::ObjectStore {
     // apply path blocks — the filestore backlog of the paper's Fig. 4.
     std::uint64_t writeback_limit_bytes = 48 * kMiB;
     unsigned writeback_parallelism = 8;
+    /// The NVRAM journal ring (on the node's NVRAM card).
+    Journal::Config journal;
   };
 
   /// Pseudo page index used to cache an object's inode/dentry/xattr block.
   static constexpr std::uint64_t kMetaPage = ~std::uint64_t(0);
 
-  FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& data_dev, kv::Db& omap,
-            const Config& cfg, Counters* counters = nullptr);
+  /// `journal_ops` is the OSD's journal_queue_max_ops throttle (it must
+  /// outlive the store): reserve() takes one slot per transaction,
+  /// queue_transaction() frees it at commit.
+  FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
+            dev::Device& data_dev, kv::Db& omap, const Config& cfg,
+            sim::Semaphore& journal_ops, Counters* counters = nullptr);
+
+  /// A journal op slot, then ring space for the entry.
+  sim::CoTask<void> reserve(std::uint64_t bytes) override;
+  /// Write the transaction's journal record; resumes at commit.
+  sim::CoTask<std::uint64_t> queue_transaction(const Transaction& tx,
+                                               bool lightweight) override;
+  bool applies_at_commit() const override { return false; }
 
   /// Apply a journaled transaction to the backing store. `lightweight`
   /// selects the AFCeph §3.4 path (merged syscalls, batched KV, no extra
@@ -99,6 +118,7 @@ class FileStore final : public store::ObjectStore {
   }
   bool verify_object(const ObjectId& oid) const override { return objects_.verify(oid); }
 
+  Journal& wal() override { return journal_; }
   kv::Db& omap() { return omap_; }
   PageCache& page_cache() { return cache_; }
   const Config& config() const { return cfg_; }
@@ -108,7 +128,8 @@ class FileStore final : public store::ObjectStore {
     return cfg_.populated_object_size;
   }
 
-  /// Stop the writeback worker (flush first via drain()).
+  /// Stop the journal writer and the writeback worker (flush first via
+  /// drain()).
   void close() override;
   /// Wait until all dirty data has reached the device.
   sim::CoTask<void> drain() override;
@@ -147,6 +168,8 @@ class FileStore final : public store::ObjectStore {
   Config cfg_;
   Counters* counters_;
   PageCache cache_;
+  Journal journal_;
+  sim::Semaphore& journal_ops_;
 
   store::ExtentMap objects_;
   sim::Semaphore dirty_sem_;           // units = dirty bytes allowed

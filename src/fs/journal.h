@@ -55,23 +55,18 @@ class Journal {
   /// Reserve ring space for an entry (blocks while the journal is full).
   sim::CoTask<void> reserve(std::uint64_t bytes);
 
-  /// Free ring space after the filestore applied the entry (entries written
-  /// through the legacy byte-count API below; record-mode entries free their
-  /// space through mark_applied()).
+  /// Free a reservation whose entry was never committed (write_entry()
+  /// returned 0). Committed entries free their space through mark_applied().
   void release(std::uint64_t bytes);
 
   /// Durably write one reserved entry; resumes at commit. Concurrent
   /// submitters are aggregated into one device write (journal batching).
-  /// A valid `span` attributes the submit→commit latency to that op in the
-  /// trace collector (stage journal.write). If the journal is already
-  /// closed the entry is rejected (counted, NOT committed) — a closing
-  /// journal must never report durability it cannot provide.
-  sim::CoTask<void> write_entry(std::uint64_t bytes, trace::Span span = {});
-
-  /// Record-mode write: like the above, but the encoded transaction `image`
-  /// is checksummed and retained in the replayable ring until
-  /// mark_applied(). Returns the assigned sequence number, or 0 when the
-  /// journal is closed (entry rejected, nothing committed).
+  /// The encoded transaction `image` is checksummed and retained in the
+  /// replayable ring until mark_applied(). A valid `span` attributes the
+  /// submit→commit latency to that op in the trace collector (stage
+  /// journal.write). Returns the assigned sequence number, or 0 when the
+  /// journal is closed: the entry is rejected (counted, NOT committed) — a
+  /// closing journal must never report durability it cannot provide.
   sim::CoTask<std::uint64_t> write_entry(std::uint64_t bytes,
                                          std::vector<std::uint8_t> image,
                                          trace::Span span = {});
@@ -146,9 +141,8 @@ class Journal {
   struct Pending {
     std::uint64_t bytes;
     sim::OneShot* done;
-    bool record = false;
-    std::vector<std::uint8_t> image;  // record mode: encoded transaction
-    std::uint64_t seq = 0;            // record mode: assigned at commit
+    std::vector<std::uint8_t> image;  // encoded transaction
+    std::uint64_t seq = 0;            // assigned at commit
   };
 
   sim::CoTask<void> writer_loop();

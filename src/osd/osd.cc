@@ -52,8 +52,7 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
          dev::Device& data_dev, cluster::ClusterMap& cmap, std::uint32_t id,
          const OsdConfig& cfg, const core::Profile& profile,
          const store::StoreConfig& store_cfg, const kv::Db::Config& kv_cfg,
-         const ThrottleSet::Config& throttle_cfg, DebugLog::Config log_cfg,
-         const fs::Journal::Config& journal_cfg)
+         const ThrottleSet::Config& throttle_cfg, DebugLog::Config log_cfg)
     : sim_(sim),
       node_(node),
       cmap_(cmap),
@@ -65,8 +64,8 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
       dlog_(sim, node.cpu(), log_with_profile(log_cfg, profile)),
       omap_(sim, data_dev, kv_with_profile(kv_cfg, profile), 1000 + id, &node.cpu()),
       store_(store::make_store(sim, node.cpu(), journal_dev, data_dev, omap_,
-                               with_profile(store_cfg, profile), &counters_)),
-      journal_(sim, journal_dev, journal_cfg),
+                               with_profile(store_cfg, profile), throttles_.journal_ops,
+                               &counters_)),
       meta_cache_(meta_cache_cfg(profile)),
       finisher_q_(sim),
       completion_q_(sim),
@@ -482,18 +481,18 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   op->min_commits = std::min(cmap_.min_size(), op->commits_needed);
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
+  op->local_oid = msg.oid;
+  co_await submit_local_txn(op, std::move(txn));
+}
 
-  // Admission to journal+filestore — still inside the PG critical section,
-  // which is exactly the paper's Fig. 3 step (3) complaint.
+sim::CoTask<void> Osd::submit_local_txn(OpRef op, fs::Transaction txn) {
+  // Admission to the store — still inside the PG critical section, which
+  // is exactly the paper's Fig. 3 step (3) complaint.
   const std::uint64_t jbytes = txn.encoded_bytes();
   const Time admit_t0 = sim_.now();
   co_await throttles_.filestore_ops.acquire(1);
   co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
+  co_await store_->reserve(jbytes);
   if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
     if (const Time admitted = sim_.now(); admitted > admit_t0) {
       tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
@@ -504,55 +503,27 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   op->txn = std::move(txn);
   op->stamp(kStJournalQ, sim_.now());
   client_writes_++;
-  op->local_oid = msg.oid;
-  note_apply_queued(msg.oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
-  } else {
-    sim::spawn(journal_path(op));
-  }
+  note_apply_queued(op->local_oid);
+  sim::spawn(commit_path(op));
 }
 
-sim::CoTask<void> Osd::journal_path(OpRef op) {
+sim::CoTask<void> Osd::commit_path(OpRef op) {
   const std::uint64_t seq =
-      co_await journal_.write_entry(op->journal_bytes, op->txn.encode(), op->span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
+      co_await store_->queue_transaction(op->txn, profile_.light_transactions);
+  if (seq == 0) co_return;  // store closing: not committed, must not ack
+  const bool applied = store_->applies_at_commit();
+  if (applied) release_apply(op->journal_bytes, op->local_oid);
   op->stamp(kStJournaled, sim_.now());
   co_await dlog_.log(cfg_.log_entries_journal);
 
-  // Write-ahead satisfied: queue the filestore apply.
-  ApplyItem ai;
-  ai.txn = std::move(op->txn);
-  ai.journal_bytes = op->journal_bytes;
-  ai.op = op;
-  ai.oid = op->local_oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
+  // Write-ahead satisfied: queue the store apply unless the commit did it.
+  if (!applied) {
+    apply_q_.try_push(ApplyItem{std::move(op->txn), op->journal_bytes, op, op->local_oid, seq});
+  }
 
   if (profile_.dedicated_completion) {
     // OP-lock work only; PG-side status work is deferred to the batched
     // completion worker.
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  } else {
-    finisher_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
-  }
-}
-
-sim::CoTask<void> Osd::flash_commit_path(OpRef op) {
-  // One round trip: queue_transaction resumes with the write both durable
-  // (WAL/COW committed) and applied — there is no separate apply pass to
-  // queue and no journal record to retire later.
-  const std::uint64_t seq = co_await store_->queue_transaction(op->txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, must not ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(op->journal_bytes);
-  note_apply_done(op->local_oid);
-  op->stamp(kStJournaled, sim_.now());
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  if (profile_.dedicated_completion) {
     co_await charge_cpu(cfg_.oplock_cpu, false);
     completion_q_.try_push(CompletionEvent{CompletionEvent::kCommit, op, op->msg->pg, {}, nullptr});
   } else {
@@ -571,22 +542,7 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
     // map older than ours. Reject before journaling — a stale ex-primary's
     // write must not gain durable copies — and tell it what to catch up to.
     counters_.add("osd.fenced_rep_ops");
-    if (item.conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep.op_id;
-      reply->pg = rep.pg;
-      reply->from_osd = id_;
-      reply->fenced = true;
-      reply->map_epoch = known_epoch_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      if (trace::Collector::active() != nullptr) {
-        wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
-      }
-      item.conn->send(std::move(wire));
-    }
+    send_rep_reply(item.conn, rep, /*fenced=*/true);
     co_return;
   }
   Pg* pgp = find_pg(item.pg);
@@ -612,50 +568,27 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
   const std::uint64_t jbytes = txn.encoded_bytes();
   co_await throttles_.filestore_ops.acquire(1);
   co_await throttles_.filestore_bytes.acquire(jbytes);
-  if (store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect) {
-    replica_ops_++;
-    note_apply_queued(rep.oid);
-    sim::spawn(flash_replica_path(item.rep, item.conn, std::move(txn), jbytes));
-    co_return;
-  }
-  co_await throttles_.journal_ops.acquire(1);
-  co_await journal_.reserve(jbytes);
+  co_await store_->reserve(jbytes);
   replica_ops_++;
   note_apply_queued(rep.oid);
-  sim::spawn(replica_journal_path(item.rep, item.conn, std::move(txn), jbytes));
+  sim::spawn(replica_commit_path(item.rep, item.conn, std::move(txn), jbytes));
 }
 
-sim::CoTask<void> Osd::replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                            net::Connection* conn, fs::Transaction txn,
-                                            std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await journal_.write_entry(bytes, txn.encode(), rep_span);
-  if (seq == 0) co_return;  // journal closing: entry rejected, not committed
-  throttles_.journal_ops.release(1);
+sim::CoTask<void> Osd::replica_commit_path(std::shared_ptr<RepOpMsg> rep,
+                                           net::Connection* conn, fs::Transaction txn,
+                                           std::uint64_t bytes) {
+  const std::uint64_t seq = co_await store_->queue_transaction(txn, profile_.light_transactions);
+  if (seq == 0) co_return;  // store closing: not committed, no ack
+  const bool applied = store_->applies_at_commit();
+  if (applied) release_apply(bytes, rep->oid);
   co_await dlog_.log(cfg_.log_entries_journal);
 
-  ApplyItem ai;
-  ai.txn = std::move(txn);
-  ai.journal_bytes = bytes;
-  ai.oid = rep->oid;
-  ai.seq = seq;
-  apply_q_.try_push(std::move(ai));
+  if (!applied) apply_q_.try_push(ApplyItem{std::move(txn), bytes, nullptr, rep->oid, seq});
 
   if (profile_.dedicated_completion) {
     // AFCeph: send the commit ack straight from the completion context.
     co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
+    send_rep_reply(conn, *rep, /*fenced=*/false);
   } else {
     // Community: the commit notification is finisher work under the PG lock.
     finisher_q_.try_push(
@@ -663,35 +596,24 @@ sim::CoTask<void> Osd::replica_journal_path(std::shared_ptr<RepOpMsg> rep,
   }
 }
 
-sim::CoTask<void> Osd::flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                          net::Connection* conn, fs::Transaction txn,
-                                          std::uint64_t bytes) {
-  const trace::Span rep_span = txn.trace;
-  const std::uint64_t seq = co_await store_->queue_transaction(txn, profile_.light_transactions);
-  if (seq == 0) co_return;  // store closing: not committed, no ack
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(bytes);
-  note_apply_done(rep->oid);
-  co_await dlog_.log(cfg_.log_entries_journal);
-
-  if (profile_.dedicated_completion) {
-    co_await charge_cpu(cfg_.oplock_cpu, false);
-    if (conn != nullptr) {
-      auto reply = std::make_shared<RepReplyMsg>();
-      reply->op_id = rep->op_id;
-      reply->pg = rep->pg;
-      reply->from_osd = id_;
-      net::Message wire;
-      wire.type = kRepReply;
-      wire.size = cfg_.reply_msg_bytes;
-      wire.body = std::move(reply);
-      wire.trace = rep_span;
-      conn->send(std::move(wire));
-    }
-  } else {
-    finisher_q_.try_push(
-        CompletionEvent{CompletionEvent::kRepCommitSend, nullptr, rep->pg, rep, conn});
+void Osd::send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced) {
+  if (conn == nullptr) return;
+  auto reply = std::make_shared<RepReplyMsg>();
+  reply->op_id = rep.op_id;
+  reply->pg = rep.pg;
+  reply->from_osd = id_;
+  if (fenced) {
+    reply->fenced = true;
+    reply->map_epoch = known_epoch_;
   }
+  net::Message wire;
+  wire.type = kRepReply;
+  wire.size = cfg_.reply_msg_bytes;
+  wire.body = std::move(reply);
+  if (trace::Collector::active() != nullptr) {
+    wire.trace = trace::Span{rep.op_id, trace::osd_track(id_)};
+  }
+  conn->send(std::move(wire));
 }
 
 // ---------------------------------------------------------------------------
@@ -901,23 +823,9 @@ sim::CoTask<void> Osd::finisher_loop() {
         break;
       case CompletionEvent::kApplied:
         break;  // bookkeeping only
-      case CompletionEvent::kRepCommitSend: {
-        if (evt->conn != nullptr) {
-          auto reply = std::make_shared<RepReplyMsg>();
-          reply->op_id = evt->rep->op_id;
-          reply->pg = evt->rep->pg;
-          reply->from_osd = id_;
-          net::Message wire;
-          wire.type = kRepReply;
-          wire.size = cfg_.reply_msg_bytes;
-          wire.body = std::move(reply);
-          if (trace::Collector::active() != nullptr) {
-            wire.trace = trace::Span{evt->rep->op_id, trace::osd_track(id_)};
-          }
-          evt->conn->send(std::move(wire));
-        }
+      case CompletionEvent::kRepCommitSend:
+        send_rep_reply(evt->conn, *evt->rep, /*fenced=*/false);
         break;
-      }
     }
     pg->lock().unlock();
   }
@@ -983,16 +891,8 @@ sim::CoTask<void> Osd::apply_loop() {
 
 sim::CoTask<void> Osd::do_apply(ApplyItem item) {
   co_await store_->apply_transaction(item.txn, profile_.light_transactions);
-  if (item.seq != 0) {
-    // Retire the journal record: same bytes freed at the same point as the
-    // raw release below, plus the retained ring image is dropped.
-    journal_.mark_applied(item.seq);
-  } else {
-    journal_.release(item.journal_bytes);
-  }
-  throttles_.filestore_ops.release(1);
-  throttles_.filestore_bytes.release(item.journal_bytes);
-  note_apply_done(item.oid);
+  store_->wal().mark_applied(item.seq);  // frees the record's ring space
+  release_apply(item.journal_bytes, item.oid);
   if (item.op != nullptr) {
     if (profile_.dedicated_completion) {
       co_await charge_cpu(cfg_.oplock_cpu, false);
@@ -1001,6 +901,12 @@ sim::CoTask<void> Osd::do_apply(ApplyItem item) {
           CompletionEvent{CompletionEvent::kApplied, item.op, item.op->msg->pg, {}, nullptr});
     }
   }
+}
+
+void Osd::release_apply(std::uint64_t bytes, const fs::ObjectId& oid) {
+  throttles_.filestore_ops.release(1);
+  throttles_.filestore_bytes.release(bytes);
+  note_apply_done(oid);
 }
 
 void Osd::note_apply_queued(const fs::ObjectId& oid) { pending_applies_[oid]++; }
@@ -1174,32 +1080,7 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
   op->min_commits = cmap_.ack_floor();
   if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
   op->stamp(kStSubmitted, sim_.now());
-
-  const std::uint64_t jbytes = txn.encoded_bytes();
-  const Time admit_t0 = sim_.now();
-  co_await throttles_.filestore_ops.acquire(1);
-  co_await throttles_.filestore_bytes.acquire(jbytes);
-  const bool direct = store_->commit_model() == store::ObjectStore::CommitModel::kStoreDirect;
-  if (!direct) {
-    co_await throttles_.journal_ops.acquire(1);
-    co_await journal_.reserve(jbytes);
-  }
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    if (const Time admitted = sim_.now(); admitted > admit_t0) {
-      tr->complete(op->span, tr->stage_id(stage::kJournalThrottle), admit_t0, admitted);
-    }
-  }
-  txn.trace = op->span;
-  op->journal_bytes = jbytes;
-  op->txn = std::move(txn);
-  op->stamp(kStJournalQ, sim_.now());
-  client_writes_++;
-  note_apply_queued(op->local_oid);
-  if (direct) {
-    sim::spawn(flash_commit_path(op));
-  } else {
-    sim::spawn(journal_path(op));
-  }
+  co_await submit_local_txn(op, std::move(txn));
 }
 
 sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {
@@ -1777,25 +1658,14 @@ sim::CoTask<void> Osd::on_restart() {
   // Replay completes before the caller marks this OSD up: no client op or
   // backfill push may land while possibly-stale records re-apply, or a
   // replayed write could clobber data written during the downtime.
-  co_await replay_journal(journal_);
-  // A store-internal WAL (FlashStore) recovers under the same contract and
-  // counters: records whose effects the crash may have lost re-apply here.
-  if (fs::Journal* w = store_->wal(); w != nullptr) co_await replay_journal(*w);
-}
-
-sim::CoTask<void> Osd::replay_journal(fs::Journal& j) {
-  auto replay = j.restart();
+  fs::Journal& wal = store_->wal();
+  auto replay = wal.restart();
   if (replay.torn_tails > 0) counters_.add("osd.journal.torn_tails", replay.torn_tails);
   if (replay.crc_failures > 0)
     counters_.add("osd.journal.crc_failures", replay.crc_failures);
   if (replay.truncated > 0)
     counters_.add("osd.journal.replay_truncated", replay.truncated);
-  if (!replay.records.empty()) co_await replay_records(j, std::move(replay.records));
-}
-
-sim::CoTask<void> Osd::replay_records(fs::Journal& j,
-                                      std::vector<fs::Journal::ReplayedRecord> records) {
-  for (auto& rec : records) {
+  for (auto& rec : replay.records) {
     auto tx = fs::Transaction::decode(rec.payload.data(), rec.payload.size());
     if (tx.has_value()) {
       // Re-apply idempotently: re-writing the same extents/omap keys is
@@ -1813,7 +1683,7 @@ sim::CoTask<void> Osd::replay_records(fs::Journal& j,
       // ring cannot wedge on it either way.
       counters_.add("osd.journal.replay_undecodable");
     }
-    j.mark_applied(rec.seq);
+    wal.mark_applied(rec.seq);
   }
 }
 
@@ -1829,7 +1699,6 @@ void Osd::close() {
   completion_q_.close();
   apply_q_.close();
   dlog_.close();
-  journal_.close();
   store_->close();
   omap_.close();
   msgr_.close_all();

@@ -11,7 +11,6 @@
 #include "core/profile.h"
 #include "ec/codec.h"
 #include "fs/filestore.h"
-#include "fs/journal.h"
 #include "mon/membership.h"
 #include "osd/dout.h"
 #include "osd/heartbeat.h"
@@ -109,8 +108,7 @@ class Osd : public net::Receiver {
       dev::Device& data_dev, cluster::ClusterMap& cmap, std::uint32_t id,
       const OsdConfig& cfg, const core::Profile& profile,
       const store::StoreConfig& store_cfg, const kv::Db::Config& kv_cfg,
-      const ThrottleSet::Config& throttle_cfg, DebugLog::Config log_cfg,
-      const fs::Journal::Config& journal_cfg);
+      const ThrottleSet::Config& throttle_cfg, DebugLog::Config log_cfg);
   ~Osd() override;
   Osd(const Osd&) = delete;
   Osd& operator=(const Osd&) = delete;
@@ -146,12 +144,12 @@ class Osd : public net::Receiver {
     return wait_object_readable(oid);
   }
   /// The daemon died (fault injection): its RAM — the op ledger and the
-  /// ordered-ack bookkeeping — is gone. Journal and filestore state
-  /// survive on media; coroutines already in flight keep running as
-  /// zombies whose output is blackholed.
+  /// ordered-ack bookkeeping — is gone. Log and store state survive on
+  /// media; coroutines already in flight keep running as zombies whose
+  /// output is blackholed.
   void on_crash();
-  /// The daemon came back: replay the journal ring from the last
-  /// filestore-applied sequence (CRC-verified, tail-truncated) so locally
+  /// The daemon came back: replay the store's log from the last applied
+  /// sequence (CRC-verified, tail-truncated) so locally
   /// durable writes recover without peer traffic. Called before backfill
   /// re-targets the cluster; backfill then covers only what replay could
   /// not. Completes only when every surviving record has re-applied: the
@@ -197,7 +195,8 @@ class Osd : public net::Receiver {
 
   // --- instrumentation -------------------------------------------------
   store::ObjectStore& store() { return *store_; }
-  fs::Journal& journal() { return journal_; }
+  /// The OSD's one write-ahead log: its store's.
+  fs::Journal& journal() { return store_->wal(); }
   kv::Db& omap_db() { return omap_; }
   DebugLog& dlog() { return dlog_; }
   ThrottleSet& throttles() { return throttles_; }
@@ -271,14 +270,17 @@ class Osd : public net::Receiver {
   // --- membership helpers (kDetected only) -------------------------------
   /// Reject a stale-epoch client op before admission (no throttles held).
   void send_fence_reply(const ClientIoMsg& msg, net::Connection* conn);
+  /// Answer a replica op: a commit ack, or (`fenced`) a stale-epoch rejection
+  /// carrying this OSD's map epoch.
+  void send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced);
   /// Ask the monitor for the current map (once per stuck epoch).
   void request_map();
 
-  // --- journal & completions --------------------------------------------
+  // --- commit & completions ---------------------------------------------
   struct CompletionEvent {
     enum Kind {
-      kCommit,         // primary local journal commit
-      kApplied,        // filestore apply finished
+      kCommit,         // primary local store commit
+      kApplied,        // store apply finished
       kRepCommit,      // replica commit ack arrived at the primary
       kRepCommitSend,  // replica side: send the commit ack to the primary
     } kind;
@@ -287,38 +289,35 @@ class Osd : public net::Receiver {
     std::shared_ptr<RepOpMsg> rep;
     net::Connection* conn;
   };
-  sim::CoTask<void> journal_path(OpRef op);
-  sim::CoTask<void> replica_journal_path(std::shared_ptr<RepOpMsg> rep,
-                                         net::Connection* conn, fs::Transaction txn,
-                                         std::uint64_t bytes);
-  /// FlashStore (kStoreDirect) primary path: the store's own
-  /// queue_transaction is the durability point — no external journal entry,
-  /// no separate apply pass.
-  sim::CoTask<void> flash_commit_path(OpRef op);
-  sim::CoTask<void> flash_replica_path(std::shared_ptr<RepOpMsg> rep,
-                                       net::Connection* conn, fs::Transaction txn,
-                                       std::uint64_t bytes);
+  /// Primary write admission (inside the PG critical section): throttles
+  /// plus the store's reserve(), then the commit path runs detached.
+  /// `op->local_oid` names the object `txn` writes here.
+  sim::CoTask<void> submit_local_txn(OpRef op, fs::Transaction txn);
+  /// Commit at the store's queue_transaction(), then queue the apply (unless
+  /// the commit applied) and the completion.
+  sim::CoTask<void> commit_path(OpRef op);
+  sim::CoTask<void> replica_commit_path(std::shared_ptr<RepOpMsg> rep,
+                                        net::Connection* conn, fs::Transaction txn,
+                                        std::uint64_t bytes);
   sim::CoTask<void> finisher_loop();           // community: one, PG lock per event
   sim::CoTask<void> completion_worker_loop();  // AFCeph: batched, no PG lock
   void handle_commit_recorded(OpRef& op);      // common bookkeeping
   sim::CoTask<void> queue_ack(OpRef op);       // community path
   void fast_ack_now(OpRef op);
 
-  // --- filestore apply ---------------------------------------------------
+  // --- store apply -------------------------------------------------------
   struct ApplyItem {
     fs::Transaction txn;
     std::uint64_t journal_bytes = 0;
     OpRef op;          // null for replica ops
     fs::ObjectId oid;  // for the ondisk-read gate
-    std::uint64_t seq = 0;  // journal record to retire (0 = raw entry)
+    std::uint64_t seq = 0;  // log record to retire
   };
   sim::CoTask<void> apply_loop();
   sim::CoTask<void> do_apply(ApplyItem item);
-  /// Restart-time recovery of one write-ahead ring (the external NVRAM
-  /// journal, or a store-internal WAL): CRC-scan, re-apply, retire.
-  sim::CoTask<void> replay_journal(fs::Journal& j);
-  sim::CoTask<void> replay_records(fs::Journal& j,
-                                   std::vector<fs::Journal::ReplayedRecord> records);
+  /// A transaction reached the store: free its filestore throttle units and
+  /// open the ondisk-read gate for `oid`.
+  void release_apply(std::uint64_t bytes, const fs::ObjectId& oid);
 
   /// Ceph's ondisk_read_lock: a read of an object waits until the object's
   /// in-flight (journaled but not yet applied) writes reach the filestore.
@@ -345,7 +344,6 @@ class Osd : public net::Receiver {
   DebugLog dlog_;
   kv::Db omap_;
   std::unique_ptr<store::ObjectStore> store_;
-  fs::Journal journal_;
   MetaCache meta_cache_;
 
   std::unique_ptr<QosScheduler> qos_;  // null unless cfg_.qos.enabled

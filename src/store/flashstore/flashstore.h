@@ -44,8 +44,8 @@ namespace afc::store {
 ///
 /// Crash consistency: queue_transaction() resumes only after the WAL record
 /// is durable; on_daemon_crash() drops the RAM deferred ledger, and restart
-/// replays unapplied WAL records through apply_transaction() (the OSD runs
-/// the same replay loop it uses for the external journal).
+/// replays unapplied WAL records through apply_transaction() (the OSD's one
+/// replay loop, the same one FileStore's journal goes through).
 class FlashStore final : public ObjectStore {
  public:
   using PageCache = fs::PageCache;
@@ -100,13 +100,16 @@ class FlashStore final : public ObjectStore {
              dev::Device& data_dev, kv::Db& kvdb, const Config& cfg,
              Counters* counters = nullptr);
 
-  CommitModel commit_model() const override { return CommitModel::kStoreDirect; }
+  /// No admission step: queue_transaction() reserves its own WAL space,
+  /// sized only once it knows which payloads go deferred.
+  sim::CoTask<void> reserve(std::uint64_t /*bytes*/) override { co_return; }
 
   /// Commit path: COW data writes for aligned extents, one WAL record for
   /// metadata + sub-block payloads, one KV batch for onode/omap. Durable
   /// AND applied at resume. Returns the WAL seq, or 0 when closing.
   sim::CoTask<std::uint64_t> queue_transaction(const fs::Transaction& tx,
                                                bool lightweight) override;
+  bool applies_at_commit() const override { return true; }
 
   /// Direct install, no WAL record: WAL replay after a crash, recovery
   /// imports, scrub repair. Charges the same CPU, allocation and device
@@ -144,7 +147,7 @@ class FlashStore final : public ObjectStore {
     return objects_.verify(oid);
   }
 
-  fs::Journal* wal() override { return &wal_; }
+  fs::Journal& wal() override { return wal_; }
   void on_daemon_crash() override;
 
   bool assume_populated() const override { return cfg_.assume_populated; }

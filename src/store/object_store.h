@@ -16,9 +16,11 @@ class Journal;
 namespace afc::store {
 
 /// What the OSD needs from its local object store. Two backends implement
-/// it: fs::FileStore (objects as files, write-ahead through the external
-/// NVRAM journal) and store::FlashStore (raw-device extent allocator, its
-/// own small WAL for sub-block writes, metadata in the LSM KV).
+/// it: fs::FileStore (objects as files, write-ahead through its NVRAM
+/// journal, applied later by the OSD's apply stage) and store::FlashStore
+/// (raw-device extent allocator, its own small WAL for sub-block writes,
+/// metadata in the LSM KV; applied at commit). Each store owns exactly one
+/// write-ahead log, wal(): the OSD's one log for faults, replay and stats.
 class ObjectStore {
  public:
   struct ReadResult {
@@ -28,37 +30,27 @@ class ObjectStore {
   };
   using ObjectExport = store::ObjectExport;
 
-  /// How the OSD makes this backend's transactions durable.
-  enum class CommitModel {
-    /// External journal write-ahead (NVRAM ring), then apply_transaction:
-    /// the classic FileStore double-write discipline.
-    kJournaled,
-    /// queue_transaction(): the store commits internally (COW extents +
-    /// deferred-write WAL); durable AND applied when it resumes. The OSD
-    /// skips the external journal entirely.
-    kStoreDirect,
-  };
-
   virtual ~ObjectStore() = default;
 
-  virtual CommitModel commit_model() const { return CommitModel::kJournaled; }
+  /// Admission for a `bytes`-sized transaction, taken inside the PG
+  /// critical section before queue_transaction(). May block (a full log).
+  virtual sim::CoTask<void> reserve(std::uint64_t bytes) = 0;
 
-  /// Apply a (journaled or replayed) transaction to the backing store.
+  /// Make `tx` durable (the commit point); resumes at commit. Returns the
+  /// log sequence of the commit record, or 0 when the store is closing (the
+  /// op must not be acked). When applies_at_commit() is false the caller
+  /// still owes apply_transaction(tx) and then wal().mark_applied(seq).
+  virtual sim::CoTask<std::uint64_t> queue_transaction(const fs::Transaction& tx,
+                                                       bool lightweight) = 0;
+
+  /// Whether queue_transaction() also applied the transaction.
+  virtual bool applies_at_commit() const = 0;
+
+  /// Apply a committed (or replayed) transaction to the backing store.
   /// `lightweight` selects the AFCeph §3.4 path where the backend
   /// distinguishes them.
   virtual sim::CoTask<void> apply_transaction(const fs::Transaction& tx,
                                               bool lightweight) = 0;
-
-  /// kStoreDirect backends only: make `tx` durable and applied in one call;
-  /// resumes at commit. Returns the store-WAL sequence of the commit
-  /// record, or 0 when the store is closing (the op must not be acked —
-  /// same contract as a closed journal). kJournaled backends never take
-  /// this path; the default funnels into apply_transaction for safety.
-  virtual sim::CoTask<std::uint64_t> queue_transaction(const fs::Transaction& tx,
-                                                       bool lightweight) {
-    co_await apply_transaction(tx, lightweight);
-    co_return 0;
-  }
 
   /// Read [off, off+len) of an object. `want_data=false` skips
   /// materialization (benchmarks) but still charges the same I/O.
@@ -90,10 +82,9 @@ class ObjectStore {
   /// Deep-scrub self-check: stored checksums still match content.
   virtual bool verify_object(const fs::ObjectId& oid) const = 0;
 
-  /// The store's internal WAL (kStoreDirect backends), exposed for fault
-  /// injection (stall / torn write / bit flip) and restart replay; nullptr
-  /// for journaled backends.
-  virtual fs::Journal* wal() { return nullptr; }
+  /// The store's write-ahead log, exposed for fault injection (stall / torn
+  /// write / bit flip), restart replay and the journal statistics.
+  virtual fs::Journal& wal() = 0;
   /// The daemon died (fault injection): drop RAM-only bookkeeping (e.g.
   /// the deferred-write ledger). Media-durable state must survive.
   virtual void on_daemon_crash() {}

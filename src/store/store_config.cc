@@ -19,7 +19,7 @@ std::optional<Backend> parse_backend(const std::string& name) {
 std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
                                         dev::Device& journal_dev, dev::Device& data_dev,
                                         kv::Db& kvdb, const StoreConfig& cfg,
-                                        Counters* counters) {
+                                        sim::Semaphore& journal_ops, Counters* counters) {
   switch (cfg.backend) {
     case Backend::kFlash:
       return std::make_unique<FlashStore>(sim, cpu, journal_dev, data_dev, kvdb,
@@ -27,7 +27,8 @@ std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
     case Backend::kFile:
       break;
   }
-  return std::make_unique<fs::FileStore>(sim, cpu, data_dev, kvdb, cfg.file, counters);
+  return std::make_unique<fs::FileStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.file,
+                                         journal_ops, counters);
 }
 
 }  // namespace afc::store

@@ -77,6 +77,44 @@ TEST(RunStats, IopsFromWindow) {
 // Health report
 // ---------------------------------------------------------------------------
 
+TEST(ClusterRun, SimulatingOnAfterRunLeavesTheResultAlone) {
+  // Ops still in flight when run() returns resolve later into the cluster's
+  // own stats sink, never into a dead stack frame.
+  core::ClusterConfig cfg;
+  cfg.profile = core::Profile::afceph();
+  cfg.osd_nodes = 2;
+  cfg.osds_per_node = 2;
+  cfg.vms = 2;
+  cfg.pg_num = 64;
+  cfg.image_size = 256 * kMiB;
+  core::ClusterSim cluster(cfg);
+  auto spec = client::WorkloadSpec::rand_write(4096, 8);
+  spec.write_fraction = 0.5;
+  spec.warmup = 20 * kMillisecond;
+  spec.runtime = 100 * kMillisecond;
+  const core::RunResult r = cluster.run(spec);
+  const core::RunResult before = r;
+  ASSERT_GT(r.write_lat.count(), 0u);
+  std::uint64_t resolved_at_end = 0;
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) {
+    resolved_at_end += cluster.vm(v).ops_resolved();
+  }
+
+  sim::Simulation& s = cluster.simulation();
+  s.run_until(s.now() + 50 * kMillisecond);
+  std::uint64_t resolved_after = 0;
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) {
+    resolved_after += cluster.vm(v).ops_resolved();
+  }
+  EXPECT_GT(resolved_after, resolved_at_end);  // ops did resolve past the window
+  EXPECT_EQ(r.write_iops, before.write_iops);
+  EXPECT_EQ(r.read_iops, before.read_iops);
+  EXPECT_EQ(r.write_lat.count(), before.write_lat.count());
+  EXPECT_EQ(r.read_lat.count(), before.read_lat.count());
+  EXPECT_EQ(r.write_p99_ms, before.write_p99_ms);
+  EXPECT_EQ(r.verify_failures, before.verify_failures);
+}
+
 TEST(HealthReport, ContainsEverySubsystem) {
   core::ClusterConfig cfg;
   cfg.profile = core::Profile::afceph();

@@ -272,6 +272,25 @@ TEST(FaultInjector, SsdSlowAndJournalStallAreTransparentToClients) {
   EXPECT_EQ(inj.counters().get("fault.cleared"), 1u);  // the ssd_slow window
 }
 
+TEST(FaultInjector, JournalStallHitsTheFlashStoreWal) {
+  // A FlashStore OSD's one log is the store's WAL: the stall must land there,
+  // and the OSD's journal statistics must read it.
+  core::ClusterConfig cfg = small_cluster(42);
+  cfg.store_backend = store::Backend::kFlash;
+  core::ClusterSim cluster(cfg);
+
+  fault::FaultPlan plan;
+  plan.journal_stall(120 * kMillisecond, 3, 30 * kMillisecond);
+  fault::FaultInjector& inj = cluster.install_faults(plan);
+
+  const SoakResult r = drive(cluster, 300 * kMillisecond);
+  EXPECT_EQ(r.begun, r.resolved);
+  EXPECT_EQ(inj.counters().get("fault.journal_stall"), 1u);
+  const fs::Journal& log = cluster.osd(3).journal();
+  EXPECT_GT(log.entries_written(), 0u);
+  EXPECT_GT(log.injected_stalls(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Corruption faults end to end: torn-write replay and bit-flip scrub repair.
 

@@ -15,11 +15,14 @@ namespace {
 struct StoreFixture {
   sim::Simulation sim;
   sim::CpuPool cpu{sim, 8};
+  dev::NvramModel nvram{sim, "nvram"};
   dev::SsdModel ssd{sim, "data", dev::SsdModel::Config{}};
   kv::Db omap{sim, ssd};
+  sim::Semaphore journal_ops{sim, 300};
   FileStore store;
 
-  explicit StoreFixture(FileStore::Config cfg = {}) : store(sim, cpu, ssd, omap, cfg) {}
+  explicit StoreFixture(FileStore::Config cfg = {})
+      : store(sim, cpu, nvram, ssd, omap, cfg, journal_ops) {}
 
   template <class Fn>
   void run(Fn fn) {
@@ -301,8 +304,7 @@ TEST(Journal, WritesBatchUnderConcurrency) {
     wg.add(1);
     sim::spawn_fn([&j, &wg]() -> sim::CoTask<void> {
       co_await j.reserve(8192);
-      co_await j.write_entry(8192);
-      j.release(8192);
+      j.mark_applied(co_await j.write_entry(8192, std::vector<std::uint8_t>(32, 1)));
       wg.done();
     });
   }
@@ -321,8 +323,8 @@ TEST(Journal, FullRingBlocksUntilRelease) {
   Time second_done = 0;
   f.run([&]() -> sim::CoTask<void> {
     co_await j.reserve(48 * 1024);
-    co_await j.write_entry(48 * 1024);
-    // This reservation cannot fit until the first is released.
+    const std::uint64_t seq = co_await j.write_entry(48 * 1024, std::vector<std::uint8_t>(32, 1));
+    // This reservation cannot fit until the first is applied.
     sim::spawn_fn([&]() -> sim::CoTask<void> {
       co_await j.reserve(32 * 1024);
       second_done = f.sim.now();
@@ -330,7 +332,7 @@ TEST(Journal, FullRingBlocksUntilRelease) {
     co_await sim::delay(f.sim, 5 * kMillisecond);
     EXPECT_EQ(second_done, 0u);
     EXPECT_GT(j.full_stalls(), 0u);
-    j.release(48 * 1024);
+    j.mark_applied(seq);
     co_await sim::delay(f.sim, 1 * kMillisecond);
     EXPECT_GT(second_done, 0u);
   });
@@ -566,7 +568,9 @@ TEST(Journal, CloseDuringStallRejectsNewWritesDeterministically) {
     co_await j.reserve(4096);
     const std::uint64_t seq = co_await j.write_entry(4096, std::vector<std::uint8_t>(32, 2));
     EXPECT_EQ(seq, 0u);
-    co_await j.write_entry(4096);  // legacy API: same rejection path
+    co_await j.reserve(4096);
+    const std::uint64_t seq2 = co_await j.write_entry(4096, std::vector<std::uint8_t>(32, 3));
+    EXPECT_EQ(seq2, 0u);
     EXPECT_EQ(j.rejected_writes(), 2u);
     j.release(4096);
     j.release(4096);
@@ -582,8 +586,7 @@ TEST(Journal, TracksBytesAndStallTime) {
   Journal j(f.sim, f.nvram, cfg);
   f.run([&]() -> sim::CoTask<void> {
     co_await j.reserve(4096);
-    co_await j.write_entry(4096);
-    j.release(4096);
+    j.mark_applied(co_await j.write_entry(4096, std::vector<std::uint8_t>(32, 1)));
   });
   EXPECT_GT(j.bytes_written(), 4096u);  // header included
   EXPECT_EQ(j.bytes_in_use(), 0u);

@@ -642,5 +642,86 @@ TEST(PaperShapes, SustainedStateHurtsCommunityMoreThanAfceph) {
   EXPECT_GT(ratio[0], ratio[1]) << "community should lose more to sustained state";
 }
 
+// ---------------------------------------------------------------------------
+// Commit-path golden fingerprints: a small mixed workload through every
+// store backend and profile, plus an EC(4+2) pool. The pinned integers fix
+// the event order of the whole write path: any change to it moves at least
+// one of them, and a refactor that must keep every figure byte-identical
+// has to keep them all.
+
+struct GoldenCase {
+  const char* name;
+  store::Backend backend;
+  bool afceph;
+  bool ec;
+  std::uint64_t events;        // executed simulation events
+  std::uint64_t resolved;      // client ops resolved
+  std::uint64_t log_entries;   // write-ahead log entries, all OSDs
+  std::uint64_t log_bytes;     // write-ahead log bytes, all OSDs
+  std::uint64_t ssd_bytes;     // data SSD bytes written, all OSDs
+};
+
+class CommitPathGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(CommitPathGolden, FingerprintsMatchPinnedValues) {
+  const GoldenCase& g = GetParam();
+  core::ClusterConfig cfg;
+  cfg.profile = g.afceph ? core::Profile::afceph() : core::Profile::community();
+  cfg.store_backend = g.backend;
+  cfg.client_nodes = 1;
+  cfg.vms = 2;
+  cfg.image_size = 256 * kMiB;
+  cfg.sustained = false;
+  cfg.seed = 17;
+  if (g.ec) {
+    cfg.osd_nodes = 6;
+    cfg.osds_per_node = 1;
+    cfg.pg_num = 32;
+    cfg.ec_pool = true;
+    cfg.ec_k = 4;
+    cfg.ec_m = 2;
+  } else {
+    cfg.osd_nodes = 2;
+    cfg.osds_per_node = 2;
+    cfg.pg_num = 64;
+  }
+  core::ClusterSim cluster(cfg);
+  auto spec = client::WorkloadSpec::rand_write(4096, 4);
+  spec.write_fraction = 0.7;
+  spec.verify = true;
+  spec.warmup = 20 * kMillisecond;
+  spec.runtime = 120 * kMillisecond;
+  const core::RunResult r = cluster.run(spec);
+  EXPECT_EQ(r.verify_failures, 0u);
+
+  std::uint64_t resolved = 0, entries = 0, log_bytes = 0, ssd_bytes = 0;
+  for (std::size_t v = 0; v < cluster.vm_count(); v++) resolved += cluster.vm(v).ops_resolved();
+  for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+    entries += cluster.osd(i).journal().entries_written();
+    log_bytes += cluster.osd(i).journal().bytes_written();
+    ssd_bytes += cluster.osd_ssd(i).bytes_written();
+  }
+  EXPECT_EQ(cluster.simulation().executed_events(), g.events);
+  EXPECT_EQ(resolved, g.resolved);
+  EXPECT_EQ(entries, g.log_entries);
+  EXPECT_EQ(log_bytes, g.log_bytes);
+  EXPECT_EQ(ssd_bytes, g.ssd_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoresAndProfiles, CommitPathGolden,
+    ::testing::Values(
+        GoldenCase{"file_community", store::Backend::kFile, false, false, 18281u, 281u, 380u,
+                   3541600u, 3112960u},
+        GoldenCase{"file_afceph", store::Backend::kFile, true, false, 103217u, 1641u, 2288u,
+                   21144848u, 10489552u},
+        GoldenCase{"flash_community", store::Backend::kFlash, false, false, 14278u, 285u, 384u,
+                   1867776u, 198434u},
+        GoldenCase{"flash_afceph", store::Backend::kFlash, true, false, 88394u, 1672u, 2332u,
+                   11342336u, 7500721u},
+        GoldenCase{"ec_file_afceph", store::Backend::kFile, true, true, 247119u, 1348u, 5670u,
+                   34902612u, 8577056u}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) { return info.param.name; });
+
 }  // namespace
 }  // namespace afc

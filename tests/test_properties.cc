@@ -31,7 +31,9 @@ TEST_P(ExtentMapProperty, RandomWritesMatchReferenceBuffer) {
   sim::CpuPool cpu(sim, 8);
   dev::SsdModel ssd(sim, "ssd", dev::SsdModel::Config{});
   kv::Db omap(sim, ssd);
-  fs::FileStore store(sim, cpu, ssd, omap, fs::FileStore::Config{});
+  dev::NvramModel nvram(sim, "nvram");
+  sim::Semaphore journal_ops(sim, 300);
+  fs::FileStore store(sim, cpu, nvram, ssd, omap, fs::FileStore::Config{}, journal_ops);
 
   constexpr std::uint64_t kObjectSize = 64 * 1024;
   std::vector<std::uint8_t> reference(kObjectSize, 0);
@@ -97,6 +99,13 @@ struct DbCorner {
   int l0_trigger;
   std::uint64_t target_file;
 };
+
+// Without this gtest prints the raw bytes of the struct, which hold the
+// `name` pointer and so change from build to build; print the fields.
+void PrintTo(const DbCorner& c, std::ostream* os) {
+  *os << c.name << " memtable=" << c.memtable << " l0_trigger=" << c.l0_trigger
+      << " target_file=" << c.target_file;
+}
 
 class DbProperty : public ::testing::TestWithParam<DbCorner> {};
 
@@ -243,6 +252,11 @@ struct Shape {
   unsigned per_host;
   unsigned replication;
 };
+
+void PrintTo(const Shape& s, std::ostream* os) {
+  *os << s.name << " hosts=" << s.hosts << " per_host=" << s.per_host
+      << " replication=" << s.replication;
+}
 
 class CrushProperty : public ::testing::TestWithParam<Shape> {};
 

@@ -54,7 +54,7 @@ TEST(FlashStore, AlignedLargeWriteGoesDirectAndReadsBack) {
     EXPECT_EQ(r.length, 65536u);
     co_await f.store.drain();
     // The metadata WAL record retires once the KV batch lands.
-    EXPECT_EQ(f.store.wal()->records_retained(), 0u);
+    EXPECT_EQ(f.store.wal().records_retained(), 0u);
   });
 }
 
@@ -94,7 +94,7 @@ TEST(FlashStore, SubBlockUpdateFoldsIntoNextRewrite) {
     EXPECT_EQ(f.store.dirty_bytes(), 0u);
     co_await f.store.drain();
     EXPECT_EQ(f.store.deferred_pending(), 0u);
-    EXPECT_EQ(f.store.wal()->records_retained(), 0u);
+    EXPECT_EQ(f.store.wal().records_retained(), 0u);
   });
 }
 
@@ -135,10 +135,10 @@ TEST(FlashStore, KvCommitGatesWalRetirement) {
     // crash now loses the in-flight KV metadata.
     EXPECT_GE(f.store.deferred_folds(), 1u);
     EXPECT_GE(f.store.deferred_pending(), 1u);
-    EXPECT_GE(f.store.wal()->records_retained(), 1u);
+    EXPECT_GE(f.store.wal().records_retained(), 1u);
     co_await f.store.drain();
     EXPECT_EQ(f.store.deferred_pending(), 0u);
-    EXPECT_EQ(f.store.wal()->records_retained(), 0u);
+    EXPECT_EQ(f.store.wal().records_retained(), 0u);
   });
 }
 
@@ -159,7 +159,7 @@ TEST(FlashStore, CrashDropsLedgerAndWalReplayRestores) {
     EXPECT_EQ(f.store.deferred_pending(), 0u);
     EXPECT_EQ(f.store.dirty_bytes(), 0u);
 
-    auto replay = f.store.wal()->restart();
+    auto replay = f.store.wal().restart();
     EXPECT_EQ(replay.records.size(), 4u);
     EXPECT_EQ(replay.torn_tails, 0u);
     EXPECT_EQ(replay.crc_failures, 0u);
@@ -169,9 +169,9 @@ TEST(FlashStore, CrashDropsLedgerAndWalReplayRestores) {
       EXPECT_TRUE(tx.has_value());
       if (!tx.has_value()) continue;
       co_await f.store.apply_transaction(*tx, false);
-      f.store.wal()->mark_applied(rec.seq);
+      f.store.wal().mark_applied(rec.seq);
     }
-    EXPECT_EQ(f.store.wal()->records_retained(), 0u);
+    EXPECT_EQ(f.store.wal().records_retained(), 0u);
     auto r = co_await f.store.read(f.oid("a"), 0, 4 * 4096);
     EXPECT_TRUE(r.found);
     EXPECT_EQ(r.length, 4u * 4096u);
@@ -190,8 +190,8 @@ TEST(FlashStore, ReplayStopsAtFlippedRecord) {
       co_await f.store.queue_transaction(t, false);
     }
     f.store.on_daemon_crash();
-    EXPECT_TRUE(f.store.wal()->corrupt_record(123));
-    auto replay = f.store.wal()->restart();
+    EXPECT_TRUE(f.store.wal().corrupt_record(123));
+    auto replay = f.store.wal().restart();
     // The scan stops at the flipped record; it and everything after it is
     // truncated (those writes come back via peer backfill, not replay).
     EXPECT_EQ(replay.crc_failures, 1u);
