@@ -8,7 +8,8 @@
 //   2. durability floor: no write was acked with fewer than min_size
 //      durable replicas (osd.acks_below_min_size == 0 on every OSD);
 //   3. determinism: the same seed + plan produces an identical run digest
-//      (event count, per-VM accounting, per-OSD counters) twice in a row;
+//      (event count, per-VM accounting, per-OSD counters and store work)
+//      twice in a row;
 //   4. zero-impact: installing an *empty* plan changes nothing — the run
 //      digest equals a run with no injector at all.
 //
@@ -81,6 +82,12 @@ void drive_workload(core::ClusterSim& cluster, client::RunStats& stats,
   cluster.simulation().run();  // drain: timeouts, retries, backfills
 }
 
+/// FlashStore payloads that rode the deferred-write WAL (0 on FileStore).
+std::uint64_t deferred_writes(osd::Osd& osd) {
+  const auto* flash = dynamic_cast<const store::FlashStore*>(&osd.store());
+  return flash != nullptr ? flash->deferred_writes() : 0;
+}
+
 RunDigest collect_digest(core::ClusterSim& cluster) {
   RunDigest d;
   d.events = cluster.simulation().executed_events();
@@ -101,16 +108,21 @@ RunDigest collect_digest(core::ClusterSim& cluster) {
     mix(vm.issued());
     mix(vm.completed());
   }
+  const Counters counters = cluster.counters();
+  d.below_min = counters.get("osd.acks_below_min_size");
+  d.degraded = counters.get("osd.acks_degraded");
+  d.write_failures = counters.get("osd.write_failures");
+  d.rep_retry_rounds = counters.get("osd.rep_retry_rounds");
+  d.dup_rep_replies = counters.get("osd.dup_rep_replies");
   for (std::size_t o = 0; o < cluster.osd_count(); o++) {
     auto& osd = cluster.osd(o);
-    d.below_min += osd.counters().get("osd.acks_below_min_size");
-    d.degraded += osd.counters().get("osd.acks_degraded");
-    d.write_failures += osd.counters().get("osd.write_failures");
-    d.rep_retry_rounds += osd.counters().get("osd.rep_retry_rounds");
-    d.dup_rep_replies += osd.counters().get("osd.dup_rep_replies");
     d.osd_writes += osd.client_writes();
     mix(osd.client_writes());
     mix(osd.replica_ops());
+    // The stores count their work in typed fields, not named counters.
+    mix(osd.store().syscalls());
+    mix(osd.store().metadata_device_reads());
+    mix(deferred_writes(osd));
     for (const auto& [name, value] : osd.counters().all()) {
       for (char c : name) mix(std::uint64_t(std::uint8_t(c)));
       mix(value);
@@ -188,22 +200,21 @@ CorruptionDigest run_corruption(std::uint64_t seed,
   // before the scrub runs.
   plan.bit_flip_data(2 * kSecond, 2);
   plan.bit_flip_data(2 * kSecond, 3);
-  fault::FaultInjector& inj = cluster.install_faults(plan);
+  cluster.install_faults(plan);
 
   client::RunStats stats;
   drive_workload(cluster, stats);
 
   CorruptionDigest c;
   c.run = collect_digest(cluster);
-  c.torn_entries = inj.counters().get("fault.torn_entries");
-  core::RunResult rr;
-  cluster.collect_osd_stats(rr);
-  c.replayed = rr.journal_records_replayed;
-  c.torn_tails = rr.journal_torn_tails;
-  c.crc_failures = rr.journal_crc_failures;
+  const Counters counters = cluster.counters();
+  c.torn_entries = counters.get("fault.torn_entries");
+  c.replayed = counters.get("osd.journal.records_replayed");
+  c.torn_tails = counters.get("osd.journal.torn_tails");
+  c.crc_failures = counters.get("osd.journal.crc_failures");
+  c.backfill_skipped = counters.get("osd.backfill_skipped");
   for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    c.backfill_skipped += cluster.osd(o).counters().get("osd.backfill_skipped");
-    c.deferred_writes += cluster.osd(o).counters().get("flash.deferred_writes");
+    c.deferred_writes += deferred_writes(cluster.osd(o));
   }
 
   sim::spawn_fn([&cluster, &c]() -> sim::CoTask<void> {
@@ -274,10 +285,9 @@ EcDigest run_ec(std::uint64_t seed) {
 
   EcDigest e;
   e.run = collect_digest(cluster);
-  core::RunResult rr;
-  cluster.collect_osd_stats(rr);
-  e.reconstruct_reads = rr.ec_reconstruct_reads;
-  e.shards_rebuilt = rr.ec_shards_rebuilt;
+  const Counters counters = cluster.counters();
+  e.reconstruct_reads = counters.get("osd.ec_reconstruct_reads");
+  e.shards_rebuilt = counters.get("osd.ec_shards_rebuilt");
 
   sim::spawn_fn([&cluster, &e]() -> sim::CoTask<void> {
     auto detect = co_await cluster.deep_scrub(/*repair=*/false);
@@ -291,9 +301,7 @@ EcDigest run_ec(std::uint64_t seed) {
   });
   cluster.simulation().run();
 
-  core::RunResult after;
-  cluster.collect_osd_stats(after);
-  e.parity_mismatch = after.ec_parity_mismatch;
+  e.parity_mismatch = cluster.counters().get("osd.ec_parity_mismatch");
 
   cluster.close_all();
   cluster.simulation().run();
@@ -357,19 +365,17 @@ MembershipDigest run_membership(std::uint64_t seed, const fault::FaultPlan& plan
   const mon::Monitor& mon = *cluster.monitor();
   for (const auto& e : mon.markdowns()) m.markdown_events.emplace_back(e.osd, e.at);
   for (const auto& e : mon.markups()) m.markup_events.emplace_back(e.osd, e.at);
-  m.markouts = mon.counters().get("mon.markouts");
-  m.false_downs = mon.counters().get("mon.false_downs");
-  m.map_deltas = mon.counters().get("mon.map_deltas");
-  m.failure_reports = mon.counters().get("mon.failure_reports");
-  m.laggy_flags = mon.counters().get("mon.laggy_flags");
-  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    const auto& c = cluster.osd(o).counters();
-    m.hb_sent += c.get("osd.hb_sent");
-    m.hb_timeouts += c.get("osd.hb_timeouts");
-    m.fenced_ops += c.get("osd.fenced_ops");
-    m.fenced_rep_ops += c.get("osd.fenced_rep_ops");
-    m.rep_unresolved += c.get("osd.rep_unresolved_failures");
-  }
+  const Counters c = cluster.counters();
+  m.markouts = c.get("mon.markouts");
+  m.false_downs = c.get("mon.false_downs");
+  m.map_deltas = c.get("mon.map_deltas");
+  m.failure_reports = c.get("mon.failure_reports");
+  m.laggy_flags = c.get("mon.laggy_flags");
+  m.hb_sent = c.get("osd.hb_sent");
+  m.hb_timeouts = c.get("osd.hb_timeouts");
+  m.fenced_ops = c.get("osd.fenced_ops");
+  m.fenced_rep_ops = c.get("osd.fenced_rep_ops");
+  m.rep_unresolved = c.get("osd.rep_unresolved_failures");
   for (std::size_t v = 0; v < cluster.vm_count(); v++) {
     m.fenced_replies += cluster.vm(v).fenced_replies();
     m.client_map_updates += cluster.vm(v).map_updates();

@@ -13,7 +13,6 @@
 // lock-bound delay. We print the same breakdown for AFCeph to show the
 // lock-bound stages collapsing.
 
-#include <array>
 #include <cstdio>
 
 #include "afceph.h"
@@ -37,18 +36,11 @@ void run_profile(const core::Profile& profile) {
   spec.runtime = 1200 * kMillisecond;
   auto r = cluster.run(spec);
 
-  // Per-stage means: with AFC_SIM_TRACE set this bench is a thin consumer of
-  // the trace collector's histograms; otherwise it reads the OSDs' merged
-  // boundary histograms. The two sources see the identical records (the OSD
-  // mirrors its stamps into the collector), so the table is the same either
-  // way — tracing only adds the exported span file.
-  trace::Collector* tr = cluster.tracer();
-  std::array<double, osd::kStageCount> stage_ms{};
-  double total_ms = r.write_path_total_ms;
-  for (unsigned s = 1; s < osd::kStageCount; s++) {
-    stage_ms[s] = tr != nullptr ? tr->stage_mean_ms(kWriteStageNames[s]) : r.stage_ms[s];
-  }
-  if (tr != nullptr) total_ms = tr->stage_mean_ms(stage::kWriteOp);
+  // Per-stage means from the OSDs' merged boundary histograms. With
+  // AFC_SIM_TRACE set the trace collector sees the identical records (the
+  // OSD mirrors its stamps into it), so tracing only adds the span file.
+  const auto& stage_ms = r.stage_ms;
+  const double total_ms = r.write_path_total_ms;
 
   std::printf("\n%s  (%.0f IOPS, client mean %.2f ms)\n", profile.name.c_str(), r.write_iops,
               r.write_lat_ms);

@@ -102,7 +102,7 @@ core::RunResult run_healthy(bool ec) {
 struct DegradedResult {
   client::RunStats healthy;
   client::RunStats degraded;
-  core::RunResult cluster;  // counters incl. ec_reconstruct_reads
+  std::uint64_t reconstruct_reads = 0;  // osd.ec_reconstruct_reads, cluster-wide
 };
 
 DegradedResult run_degraded_reads() {
@@ -153,7 +153,7 @@ DegradedResult run_degraded_reads() {
   }
   cluster.simulation().run_until(out.degraded.window_end);
   cluster.simulation().run();  // drain timeouts/retries
-  cluster.collect_osd_stats(out.cluster);
+  out.reconstruct_reads = cluster.counters().get("osd.ec_reconstruct_reads");
   rung.record(cluster, "ec42/degraded_read", "read_p99_ms_healthy",
               out.healthy.read_lat.p99_ms());
   rung.record(cluster, "ec42/degraded_read", "read_p99_ms_degraded",
@@ -183,7 +183,7 @@ RecoveryResult run_recovery(bool ec, unsigned losses) {
   fault::FaultPlan plan;
   plan.crash(t_crash, 1);
   if (losses > 1) plan.crash(t_crash, 3);
-  auto& inj = cluster.install_faults(plan);
+  cluster.install_faults(plan);
 
   client::RunStats pop;
   pop.window_start = 0;
@@ -197,13 +197,7 @@ RecoveryResult run_recovery(bool ec, unsigned losses) {
 
   RecoveryResult out;
   out.recovery_ms = double(cluster.simulation().now() - t_crash) / double(kMillisecond);
-  core::RunResult r;
-  cluster.collect_osd_stats(r);
-  if (ec) {
-    out.units = r.ec_shards_rebuilt;
-  } else {
-    out.units = inj.counters().get("fault.backfills");
-  }
+  out.units = cluster.counters().get(ec ? "osd.ec_shards_rebuilt" : "fault.backfills");
   const std::string config = std::string(ec ? "ec42" : "3rep") + "/loss" +
                              std::to_string(losses);
   rung.record(cluster, config.c_str(), "recovery_ms", out.recovery_ms);
@@ -243,7 +237,7 @@ int main(int argc, char** argv) {
            Table::num(deg.degraded.read_lat.p99_ms(), 2)});
     t.print();
     std::printf("reconstructed reads (decode from k survivors): %llu\n",
-                static_cast<unsigned long long>(deg.cluster.ec_reconstruct_reads));
+                static_cast<unsigned long long>(deg.reconstruct_reads));
   }
 
   std::printf("\n--- C: recovery on 8 OSDs (drain time after loss) ---\n");
@@ -273,13 +267,13 @@ int main(int argc, char** argv) {
                   ec.write_p99_ms, rep.write_p99_ms);
       return 1;
     }
-    if (deg.cluster.ec_reconstruct_reads == 0) {
+    if (deg.reconstruct_reads == 0) {
       std::printf("SMOKE FAIL: degraded window served no reconstructed reads\n");
       return 1;
     }
     std::printf("smoke: PASS (EC p99 %.2fms <= 2x 3-rep p99 %.2fms, %llu decode reads)\n",
                 ec.write_p99_ms, rep.write_p99_ms,
-                static_cast<unsigned long long>(deg.cluster.ec_reconstruct_reads));
+                static_cast<unsigned long long>(deg.reconstruct_reads));
   }
   return 0;
 }

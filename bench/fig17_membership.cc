@@ -90,18 +90,15 @@ Point run_point(const char* config_name, std::uint64_t seed, Time runtime, Time 
 
   Point p;
   p.write_iops = stats.write_iops();
-  const mon::Monitor& mon = *cluster.monitor();
-  p.markdowns = mon.counters().get("mon.markdowns");
-  p.false_downs = mon.counters().get("mon.false_downs");
-  p.map_deltas = mon.counters().get("mon.map_deltas");
-  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    const auto& c = cluster.osd(o).counters();
-    p.hb_sent += c.get("osd.hb_sent");
-    p.hb_timeouts += c.get("osd.hb_timeouts");
-    p.fenced += c.get("osd.fenced_ops") + c.get("osd.fenced_rep_ops");
-  }
+  const Counters c = cluster.counters();
+  p.markdowns = c.get("mon.markdowns");
+  p.false_downs = c.get("mon.false_downs");
+  p.map_deltas = c.get("mon.map_deltas");
+  p.hb_sent = c.get("osd.hb_sent");
+  p.hb_timeouts = c.get("osd.hb_timeouts");
+  p.fenced = c.get("osd.fenced_ops") + c.get("osd.fenced_rep_ops");
   if (crash_at > 0) {
-    for (const auto& e : mon.markdowns()) {
+    for (const auto& e : cluster.monitor()->markdowns()) {
       if (e.osd == crash_osd && e.at >= crash_at) {
         p.detect_ms = double(e.at - crash_at) / double(kMillisecond);
         break;

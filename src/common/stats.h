@@ -14,6 +14,10 @@ class Counters {
  public:
   void add(const std::string& name, std::uint64_t n = 1) { counters_[name] += n; }
   std::uint64_t get(const std::string& name) const;
+  /// Add every counter of `other` into this set (cluster-wide sums).
+  void merge(const Counters& other) {
+    for (const auto& [name, n] : other.counters_) counters_[name] += n;
+  }
   void clear() { counters_.clear(); }
 
   const std::map<std::string, std::uint64_t>& all() const { return counters_; }

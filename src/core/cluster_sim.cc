@@ -295,41 +295,19 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
     r.journal_full_stalls += o->journal().full_stalls();
     r.journal_full_ns += o->journal().full_stall_ns();
     r.fs_writeback_stalls += o->store().writeback_stalls();
-    r.log_entries_dropped += o->dlog().dropped();
     r.metadata_device_reads += o->store().metadata_device_reads();
     r.syscalls += o->store().syscalls();
     r.kv_write_amplification =
         std::max(r.kv_write_amplification, o->omap_db().write_amplification());
     r.kv_stall_slowdowns += o->omap_db().stall_slowdowns();
-    r.journal_records_replayed += o->counters().get("osd.journal.records_replayed");
-    r.journal_torn_tails += o->counters().get("osd.journal.torn_tails");
-    r.journal_crc_failures += o->counters().get("osd.journal.crc_failures");
-    r.scrub_objects_repaired += o->counters().get("osd.scrub_objects_repaired");
-    r.ec_reconstruct_reads += o->counters().get("osd.ec_reconstruct_reads");
-    r.ec_shards_rebuilt += o->counters().get("osd.ec_shards_rebuilt");
-    r.ec_parity_mismatch += o->counters().get("osd.ec_parity_mismatch");
     if (const auto* qos = o->qos(); qos != nullptr) {
       r.qos_enqueued += qos->stats().enqueued;
       r.qos_dispatched += qos->stats().dispatched;
       r.qos_reservation_grants += qos->stats().reservation_grants;
-      r.qos_weight_grants += qos->stats().weight_grants;
       r.qos_limit_deferrals += qos->stats().limit_deferrals;
-      r.qos_queue_hwm = std::max(r.qos_queue_hwm, qos->stats().depth_hwm);
     }
-    r.hb_sent += o->counters().get("osd.hb_sent");
-    r.hb_timeouts += o->counters().get("osd.hb_timeouts");
-    r.fenced_ops +=
-        o->counters().get("osd.fenced_ops") + o->counters().get("osd.fenced_rep_ops");
     for (unsigned s = 0; s < osd::kStageCount; s++) stage_merged[s].merge(o->stage_delta(s));
     total_merged.merge(o->write_total_hist());
-  }
-  if (monitor_ != nullptr) {
-    r.failure_reports = monitor_->counters().get("mon.failure_reports");
-    r.false_downs = monitor_->counters().get("mon.false_downs");
-    r.map_deltas = monitor_->counters().get("mon.map_deltas");
-    r.mon_markdowns = monitor_->counters().get("mon.markdowns");
-    r.mon_markouts = monitor_->counters().get("mon.markouts");
-    r.laggy_flags = monitor_->counters().get("mon.laggy_flags");
   }
   for (unsigned s = 0; s < osd::kStageCount; s++) r.stage_ms[s] = stage_merged[s].mean_ms();
   r.write_path_total_ms = total_merged.mean_ms();
@@ -342,13 +320,18 @@ void ClusterSim::collect_osd_stats(RunResult& r) const {
   if (mon_msgr_ != nullptr) net.merge(mon_msgr_->net_stats());
   r.net_messages = net.messages;
   r.net_frames = net.frames;
-  r.net_batches = net.batches;
-  r.net_batched_msgs = net.batched_msgs;
-  r.net_max_batch = net.max_batch;
   r.net_batch_occupancy = net.batch_occupancy();
   r.net_nagle_stalls = net.nagle_stalls;
   r.net_shard_wakeups = net.shard_wakeups;
-  r.net_shard_depth_hwm = net.shard_depth_hwm;
+  r.counters = counters();
+}
+
+Counters ClusterSim::counters() const {
+  Counters sum;
+  for (const auto& o : osds_) sum.merge(o->counters());
+  if (monitor_ != nullptr) sum.merge(monitor_->counters());
+  if (injector_ != nullptr) sum.merge(injector_->counters());
+  return sum;
 }
 
 fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {

@@ -113,22 +113,11 @@ struct RunResult {
   std::uint64_t journal_full_stalls = 0;
   Time journal_full_ns = 0;
   std::uint64_t fs_writeback_stalls = 0;
-  std::uint64_t log_entries_dropped = 0;
   std::uint64_t metadata_device_reads = 0;
   std::uint64_t syscalls = 0;
   double kv_write_amplification = 0.0;
   double max_osd_node_cpu = 0.0;
   std::uint64_t kv_stall_slowdowns = 0;
-  // Integrity layer: journal replay + scrub repair (zero in fault-free runs).
-  std::uint64_t journal_records_replayed = 0;
-  std::uint64_t journal_torn_tails = 0;
-  std::uint64_t journal_crc_failures = 0;
-  std::uint64_t scrub_objects_repaired = 0;
-  // Erasure coding (all zero for replicated pools): degraded reads served by
-  // decode, shards rebuilt by recovery, stripes whose parity check failed.
-  std::uint64_t ec_reconstruct_reads = 0;
-  std::uint64_t ec_shards_rebuilt = 0;
-  std::uint64_t ec_parity_mismatch = 0;
   /// Mean per-stage write-path latency (Fig. 3), ms, index = osd::Stage.
   std::array<double, osd::kStageCount> stage_ms{};
   double write_path_total_ms = 0.0;
@@ -137,33 +126,18 @@ struct RunResult {
   // engaged; occupancy is mean messages per wire frame.
   std::uint64_t net_messages = 0;
   std::uint64_t net_frames = 0;
-  std::uint64_t net_batches = 0;
-  std::uint64_t net_batched_msgs = 0;
-  std::uint64_t net_max_batch = 0;
   double net_batch_occupancy = 0.0;
   std::uint64_t net_nagle_stalls = 0;
   std::uint64_t net_shard_wakeups = 0;
-  std::uint64_t net_shard_depth_hwm = 0;
   // QoS scheduler evidence (all zero when ClusterConfig::qos is disabled).
   std::uint64_t qos_enqueued = 0;
   std::uint64_t qos_dispatched = 0;
   std::uint64_t qos_reservation_grants = 0;
-  std::uint64_t qos_weight_grants = 0;
   std::uint64_t qos_limit_deferrals = 0;
-  std::uint64_t qos_queue_hwm = 0;  // deepest tenant-queue backlog, any OSD
-  // Membership & failure detection (all zero under kOracle): heartbeats
-  // sent / grace expiries, failure reports received by the monitor, monitor
-  // mark-downs that the liveness probe called healthy, and map deltas
-  // published. fenced_ops counts stale-epoch ops rejected cluster-wide.
-  std::uint64_t hb_sent = 0;
-  std::uint64_t hb_timeouts = 0;
-  std::uint64_t failure_reports = 0;
-  std::uint64_t false_downs = 0;
-  std::uint64_t map_deltas = 0;
-  std::uint64_t fenced_ops = 0;
-  std::uint64_t mon_markdowns = 0;
-  std::uint64_t mon_markouts = 0;
-  std::uint64_t laggy_flags = 0;
+  /// ClusterSim::counters() at collect time: every OSD, monitor and
+  /// fault-injector event counter (journal replay, scrub, EC, heartbeat,
+  /// mark-down, fencing, injected faults), summed cluster-wide.
+  Counters counters;
 };
 
 /// Builds a simulated Ceph cluster (community or AFCeph per the profile)
@@ -230,6 +204,11 @@ class ClusterSim {
 
   /// Close all OSD queues (worker coroutines drain and exit).
   void close_all();
+
+  /// Cluster-wide sum of the named event counters of every OSD, the
+  /// monitor and the fault injector. Their keys carry distinct prefixes
+  /// (`osd.`, `mon.`, `fault.`), so the sum never mixes two quantities.
+  Counters counters() const;
 
   /// Collect OSD-side aggregates into `r` (also done by run()).
   void collect_osd_stats(RunResult& r) const;

@@ -9,13 +9,12 @@ namespace afc::fs {
 
 FileStore::FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
                      dev::Device& data_dev, kv::Db& omap, const Config& cfg,
-                     sim::Semaphore& journal_ops, Counters* counters)
+                     sim::Semaphore& journal_ops)
     : sim_(sim),
       cpu_(cpu),
       dev_(data_dev),
       omap_(omap),
       cfg_(cfg),
-      counters_(counters),
       cache_(cfg.page_cache_pages),
       journal_(sim, journal_dev, cfg.journal),
       journal_ops_(journal_ops),
@@ -100,7 +99,6 @@ FileStore::Object& FileStore::materialize_object(const ObjectId& oid) {
 
 sim::CoTask<void> FileStore::charge_syscalls(unsigned n) {
   syscalls_ += n;
-  if (counters_ != nullptr) counters_->add("fs.syscalls", n);
   co_await cpu_.consume(Time(double(cfg_.syscall_cpu) * n * cfg_.cpu_multiplier));
 }
 
@@ -218,7 +216,6 @@ sim::CoTask<std::optional<kv::Value>> FileStore::getattr(const ObjectId& oid,
   const std::uint64_t oh = object_hash(oid);
   if (!cache_.lookup(oh, kMetaPage)) {
     metadata_device_reads_++;
-    if (counters_ != nullptr) counters_->add("fs.metadata_reads");
     co_await dev_.submit(dev::IoType::kRead, 0, 4096);
     cache_.insert(oh, kMetaPage);
   }
@@ -240,7 +237,6 @@ sim::CoTask<std::optional<std::uint64_t>> FileStore::stat(const ObjectId& oid) {
   const std::uint64_t oh = object_hash(oid);
   if (!cache_.lookup(oh, kMetaPage)) {
     metadata_device_reads_++;
-    if (counters_ != nullptr) counters_->add("fs.metadata_reads");
     co_await dev_.submit(dev::IoType::kRead, 0, 4096);
     cache_.insert(oh, kMetaPage);
   }

@@ -5,7 +5,6 @@
 #include <optional>
 #include <unordered_map>
 
-#include "common/stats.h"
 #include "fs/journal.h"
 #include "fs/pagecache.h"
 #include "fs/transaction.h"
@@ -72,7 +71,7 @@ class FileStore final : public store::ObjectStore {
   /// queue_transaction() frees it at commit.
   FileStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& journal_dev,
             dev::Device& data_dev, kv::Db& omap, const Config& cfg,
-            sim::Semaphore& journal_ops, Counters* counters = nullptr);
+            sim::Semaphore& journal_ops);
 
   /// A journal op slot, then ring space for the entry.
   sim::CoTask<void> reserve(std::uint64_t bytes) override;
@@ -166,7 +165,6 @@ class FileStore final : public store::ObjectStore {
   dev::Device& dev_;
   kv::Db& omap_;
   Config cfg_;
-  Counters* counters_;
   PageCache cache_;
   Journal journal_;
   sim::Semaphore& journal_ops_;

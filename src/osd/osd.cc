@@ -64,8 +64,7 @@ Osd::Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
       dlog_(sim, node.cpu(), log_with_profile(log_cfg, profile)),
       omap_(sim, data_dev, kv_with_profile(kv_cfg, profile), 1000 + id, &node.cpu()),
       store_(store::make_store(sim, node.cpu(), journal_dev, data_dev, omap_,
-                               with_profile(store_cfg, profile), throttles_.journal_ops,
-                               &counters_)),
+                               with_profile(store_cfg, profile), throttles_.journal_ops)),
       meta_cache_(meta_cache_cfg(profile)),
       finisher_q_(sim),
       completion_q_(sim),

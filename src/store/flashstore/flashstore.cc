@@ -8,14 +8,12 @@
 namespace afc::store {
 
 FlashStore::FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
-                       dev::Device& data_dev, kv::Db& kvdb, const Config& cfg,
-                       Counters* counters)
+                       dev::Device& data_dev, kv::Db& kvdb, const Config& cfg)
     : sim_(sim),
       cpu_(cpu),
       dev_(data_dev),
       kv_(kvdb),
       cfg_(cfg),
-      counters_(counters),
       cache_(cfg.page_cache_pages),
       wal_(sim, wal_dev, cfg.wal),
       alloc_(cfg.device_bytes, cfg.block_size),
@@ -290,7 +288,6 @@ sim::CoTask<std::uint64_t> FlashStore::queue_transaction(const fs::Transaction& 
   if (has_deferred) {
     deferred_[seq].kv_pending = true;
     deferred_writes_++;
-    if (counters_ != nullptr) counters_->add("flash.deferred_writes");
   }
   meta_inflight_++;
   kv_queue_.push_back(std::move(meta));
@@ -506,7 +503,6 @@ sim::CoTask<std::optional<kv::Value>> FlashStore::getattr(const fs::ObjectId& oi
     // Cold onode: one KV point lookup (block cache / SSTables charge their
     // own device reads) instead of FileStore's inode page read.
     onode_misses_++;
-    if (counters_ != nullptr) counters_->add("flash.onode_reads");
     co_await kv_.get(onode_key(oid));
     cache_.insert(oh, kMetaPage);
   }
@@ -528,7 +524,6 @@ sim::CoTask<std::optional<std::uint64_t>> FlashStore::stat(const fs::ObjectId& o
   const std::uint64_t oh = ExtentMap::object_hash(oid);
   if (!cache_.lookup(oh, kMetaPage)) {
     onode_misses_++;
-    if (counters_ != nullptr) counters_->add("flash.onode_reads");
     co_await kv_.get(onode_key(oid));
     cache_.insert(oh, kMetaPage);
   }

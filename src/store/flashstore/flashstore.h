@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "fs/journal.h"
 #include "fs/pagecache.h"
 #include "fs/transaction.h"
@@ -97,8 +96,7 @@ class FlashStore final : public ObjectStore {
   };
 
   FlashStore(sim::Simulation& sim, sim::CpuPool& cpu, dev::Device& wal_dev,
-             dev::Device& data_dev, kv::Db& kvdb, const Config& cfg,
-             Counters* counters = nullptr);
+             dev::Device& data_dev, kv::Db& kvdb, const Config& cfg);
 
   /// No admission step: queue_transaction() reserves its own WAL space,
   /// sized only once it knows which payloads go deferred.
@@ -233,7 +231,6 @@ class FlashStore final : public ObjectStore {
   dev::Device& dev_;
   kv::Db& kv_;
   Config cfg_;
-  Counters* counters_;
   PageCache cache_;
   fs::Journal wal_;
   ExtentAllocator alloc_;

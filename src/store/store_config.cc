@@ -19,16 +19,16 @@ std::optional<Backend> parse_backend(const std::string& name) {
 std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
                                         dev::Device& journal_dev, dev::Device& data_dev,
                                         kv::Db& kvdb, const StoreConfig& cfg,
-                                        sim::Semaphore& journal_ops, Counters* counters) {
+                                        sim::Semaphore& journal_ops) {
   switch (cfg.backend) {
     case Backend::kFlash:
       return std::make_unique<FlashStore>(sim, cpu, journal_dev, data_dev, kvdb,
-                                          cfg.flash, counters);
+                                          cfg.flash);
     case Backend::kFile:
       break;
   }
   return std::make_unique<fs::FileStore>(sim, cpu, journal_dev, data_dev, kvdb, cfg.file,
-                                         journal_ops, counters);
+                                         journal_ops);
 }
 
 }  // namespace afc::store

@@ -35,7 +35,6 @@ std::optional<Backend> parse_backend(const std::string& name);
 std::unique_ptr<ObjectStore> make_store(sim::Simulation& sim, sim::CpuPool& cpu,
                                         dev::Device& journal_dev, dev::Device& data_dev,
                                         kv::Db& kvdb, const StoreConfig& cfg,
-                                        sim::Semaphore& journal_ops,
-                                        Counters* counters = nullptr);
+                                        sim::Semaphore& journal_ops);
 
 }  // namespace afc::store

@@ -198,14 +198,6 @@ core::ClusterConfig ec_cluster(std::uint64_t seed, unsigned nodes = 6) {
   return cfg;
 }
 
-std::uint64_t sum_counter(core::ClusterSim& cluster, const char* name) {
-  std::uint64_t total = 0;
-  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    total += cluster.osd(o).counters().get(name);
-  }
-  return total;
-}
-
 /// 24 object-aligned offsets spread across the image so many PGs see a
 /// stripe; deterministic pattern payloads keyed off the offset.
 std::vector<std::uint64_t> spread_offsets() {
@@ -233,8 +225,8 @@ TEST(EcPool, HealthyWriteReadRoundTrip) {
   cluster.simulation().run();
   ASSERT_TRUE(done);
   // Healthy cluster: nothing was reconstructed, acks never went degraded.
-  EXPECT_EQ(sum_counter(cluster, "osd.ec_reconstruct_reads"), 0u);
-  EXPECT_EQ(sum_counter(cluster, "osd.acks_below_min_size"), 0u);
+  EXPECT_EQ(cluster.counters().get("osd.ec_reconstruct_reads"), 0u);
+  EXPECT_EQ(cluster.counters().get("osd.acks_below_min_size"), 0u);
 }
 
 TEST(EcPool, DegradedReadReconstructsFromSurvivors) {
@@ -261,8 +253,8 @@ TEST(EcPool, DegradedReadReconstructsFromSurvivors) {
   });
   cluster.simulation().run();
   ASSERT_TRUE(done);
-  EXPECT_GT(sum_counter(cluster, "osd.ec_reconstruct_reads"), 0u);
-  EXPECT_EQ(sum_counter(cluster, "osd.acks_below_min_size"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.ec_reconstruct_reads"), 0u);
+  EXPECT_EQ(cluster.counters().get("osd.acks_below_min_size"), 0u);
 }
 
 TEST(EcPool, WritesFailBelowAckFloorButReadsSurviveAtK) {
@@ -290,8 +282,8 @@ TEST(EcPool, WritesFailBelowAckFloorButReadsSurviveAtK) {
   });
   cluster.simulation().run();
   ASSERT_TRUE(done);
-  EXPECT_GT(sum_counter(cluster, "osd.ec_reconstruct_reads"), 0u);
-  EXPECT_EQ(sum_counter(cluster, "osd.acks_below_min_size"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.ec_reconstruct_reads"), 0u);
+  EXPECT_EQ(cluster.counters().get("osd.acks_below_min_size"), 0u);
 }
 
 TEST(EcPool, CrashRestartRebuildsShardsByDecode) {
@@ -316,7 +308,7 @@ TEST(EcPool, CrashRestartRebuildsShardsByDecode) {
   });
   cluster.simulation().run();  // drains restart, replay, and all rebuilds
   ASSERT_TRUE(done);
-  EXPECT_GT(sum_counter(cluster, "osd.ec_shards_rebuilt"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.ec_shards_rebuilt"), 0u);
 
   // After rebuild the pool is fully consistent again.
   bool scrubbed = false;
@@ -348,7 +340,7 @@ TEST(EcPool, SpareOsdBackfillsLostPositionByDecode) {
   });
   cluster.simulation().run();  // crash fires after the writes, then rebuilds drain
   ASSERT_TRUE(done);
-  EXPECT_GT(sum_counter(cluster, "osd.ec_shards_rebuilt"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.ec_shards_rebuilt"), 0u);
 
   bool scrubbed = false;
   sim::spawn_fn([&cluster, &scrubbed]() -> sim::CoTask<void> {
@@ -402,7 +394,7 @@ TEST(EcPool, ScrubRepairsFlippedShardsByDecode) {
   });
   cluster.simulation().run();
   EXPECT_TRUE(scrubbed);
-  EXPECT_GT(sum_counter(cluster, "osd.scrub_objects_repaired"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.scrub_objects_repaired"), 0u);
 }
 
 TEST(EcPool, ScrubDetectsAndRepairsParityInconsistency) {
@@ -460,7 +452,7 @@ TEST(EcPool, ScrubDetectsAndRepairsParityInconsistency) {
   });
   cluster.simulation().run();
   EXPECT_TRUE(scrubbed);
-  EXPECT_GT(sum_counter(cluster, "osd.ec_parity_mismatch"), 0u);
+  EXPECT_GT(cluster.counters().get("osd.ec_parity_mismatch"), 0u);
 }
 
 TEST(EcPool, SameSeedRunsAreIdentical) {
@@ -491,7 +483,7 @@ TEST(EcPool, SameSeedRunsAreIdentical) {
     }
     EXPECT_EQ(begun, resolved);
     return std::tuple{cluster.simulation().executed_events(), begun, resolved,
-                      sum_counter(cluster, "osd.ec_shards_rebuilt")};
+                      cluster.counters().get("osd.ec_shards_rebuilt")};
   };
   EXPECT_EQ(one_run(), one_run());
 }
@@ -525,10 +517,9 @@ TEST(EcPool, ReplicatedDefaultKeepsEcMachineryCold) {
   cluster.simulation().run();
   core::RunResult r;
   cluster.collect_osd_stats(r);
-  EXPECT_EQ(r.ec_reconstruct_reads, 0u);
-  EXPECT_EQ(r.ec_shards_rebuilt, 0u);
-  EXPECT_EQ(r.ec_parity_mismatch, 0u);
-  EXPECT_EQ(sum_counter(cluster, "osd.ec_reconstruct_reads"), 0u);
+  EXPECT_EQ(r.counters.get("osd.ec_reconstruct_reads"), 0u);
+  EXPECT_EQ(r.counters.get("osd.ec_shards_rebuilt"), 0u);
+  EXPECT_EQ(r.counters.get("osd.ec_parity_mismatch"), 0u);
 }
 
 }  // namespace

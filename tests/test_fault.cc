@@ -148,12 +148,10 @@ SoakResult drive(core::ClusterSim& cluster, Time runtime) {
     r.retries += vm.op_retries();
     r.pending += vm.pending_size();
   }
-  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    auto& c = cluster.osd(o).counters();
-    r.below_min += c.get("osd.acks_below_min_size");
-    r.degraded += c.get("osd.acks_degraded");
-    r.rep_recoveries += c.get("osd.rep_retry_rounds") + c.get("osd.rep_peers_abandoned");
-  }
+  const Counters c = cluster.counters();
+  r.below_min = c.get("osd.acks_below_min_size");
+  r.degraded = c.get("osd.acks_degraded");
+  r.rep_recoveries = c.get("osd.rep_retry_rounds") + c.get("osd.rep_peers_abandoned");
   return r;
 }
 
@@ -361,11 +359,7 @@ TEST(FaultInjector, BitFlipsAreFoundAndRepairedByDeepScrub) {
   cluster.simulation().run();
   EXPECT_TRUE(done);
 
-  std::uint64_t repaired = 0;
-  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
-    repaired += cluster.osd(o).counters().get("osd.scrub_objects_repaired");
-  }
-  EXPECT_GT(repaired, 0u);
+  EXPECT_GT(cluster.counters().get("osd.scrub_objects_repaired"), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
 
 #include "client/runner.h"
 #include "core/cluster_sim.h"
@@ -226,6 +228,65 @@ TEST(Membership, CrashDetectedWithinGraceEndToEnd) {
   EXPECT_EQ(mon.counters().get("mon.false_downs"), 0u);
   EXPECT_FALSE(mon.is_down(2));
 
+  cluster.close_all();
+  cluster.simulation().run();
+}
+
+// Each event is counted once, on the component where it happens; the one
+// cluster-wide sum is ClusterSim::counters(), and RunResult carries it.
+// A crash/restart under detected membership makes the OSD, monitor and
+// injector counters all nonzero.
+TEST(ClusterSim, CountersSumEveryComponent) {
+  core::ClusterConfig cfg;
+  cfg.profile = core::Profile::afceph();
+  cfg.osd_nodes = 4;
+  cfg.osds_per_node = 1;
+  cfg.client_nodes = 1;
+  cfg.vms = 2;
+  cfg.pg_num = 32;
+  cfg.replication = 2;
+  cfg.min_size = 1;
+  cfg.sustained = false;
+  cfg.image_size = 64 * kMiB;
+  cfg.client_op_timeout = 250 * kMillisecond;
+  cfg.seed = 7;
+  cfg.membership.mode = MembershipMode::kDetected;
+  core::ClusterSim cluster(cfg);
+  fault::FaultPlan plan;
+  plan.crash_restart(200 * kMillisecond, /*osd=*/2, 300 * kMillisecond);
+  fault::FaultInjector& inj = cluster.install_faults(plan);
+
+  auto spec = client::WorkloadSpec::rand_write(4096, 2);
+  spec.warmup = 50 * kMillisecond;
+  spec.runtime = 750 * kMillisecond;
+  const core::RunResult r = cluster.run(spec);
+
+  // Each component keeps its own prefix, so a plain sum never mixes two
+  // quantities under one key.
+  std::map<std::string, std::uint64_t> expected;
+  const auto add_all = [&expected](const Counters& c, const std::string& prefix) {
+    for (const auto& [name, n] : c.all()) {
+      EXPECT_EQ(name.rfind(prefix, 0), 0u) << name << " lacks the " << prefix << " prefix";
+      expected[name] += n;
+    }
+  };
+  for (std::size_t o = 0; o < cluster.osd_count(); o++) {
+    add_all(cluster.osd(o).counters(), "osd.");
+  }
+  add_all(cluster.monitor()->counters(), "mon.");
+  add_all(inj.counters(), "fault.");
+
+  const Counters sum = cluster.counters();
+  EXPECT_EQ(sum.all(), expected);
+  EXPECT_GT(sum.get("osd.hb_sent"), 0u);
+  EXPECT_GT(sum.get("mon.markdowns"), 0u);
+  EXPECT_EQ(sum.get("fault.osd_crash"), 1u);
+  // run() collected at the end of the window, and nothing ran since.
+  EXPECT_EQ(r.counters.all(), sum.all());
+
+  // Drain the in-flight ops before closing the queues (the heartbeat timers
+  // re-arm forever, so the drain is a fixed window).
+  cluster.simulation().run_until(cluster.simulation().now() + 2 * kSecond);
   cluster.close_all();
   cluster.simulation().run();
 }

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <thread>
 
 #include "rt/arena.h"
@@ -383,9 +384,14 @@ TEST(Throttle, CapsConcurrency) {
   Throttle t(4);
   std::atomic<int> inside{0};
   std::atomic<int> max_inside{0};
+  // Start gate: thread creation can be slower than the 2 ms hold (e.g. under
+  // TSan), so without it the threads may run one after another and never
+  // contend for the 4 units.
+  std::latch start(16);
   std::vector<std::thread> threads;
   for (int i = 0; i < 16; i++) {
     threads.emplace_back([&] {
+      start.arrive_and_wait();
       ASSERT_TRUE(t.acquire());
       const int now = inside.fetch_add(1) + 1;
       int prev = max_inside.load();
