@@ -5,7 +5,9 @@
 //     (complement of the Fig. 9 ladder, which turns them on cumulatively);
 //  2. completion batch size sweep;
 //  3. metadata cache capacity sensitivity (community profile);
-//  4. KV batching alone (write-amplification effect);
+//  4. light transactions alone on the community base (one KV batch per
+//     transaction, fewer syscalls, no alloc hint: the write-amplification
+//     effect);
 //  5. PG count sweep (lock granularity vs the pending queue).
 
 #include <cstdio>
@@ -36,25 +38,12 @@ void one_mechanism_off() {
       {"AFCeph (full)", [](core::Profile&) {}},
       {"- pending queue", [](core::Profile& p) { p.pending_queue = false; }},
       {"- dedicated completion+fast ack",
-       [](core::Profile& p) {
-         p.dedicated_completion = false;
-         p.fast_ack = false;
-       }},
+       [](core::Profile& p) { p.dedicated_completion = false; }},
       {"- ssd throttles", [](core::Profile& p) { p.ssd_throttles = false; }},
       {"- jemalloc", [](core::Profile& p) { p.jemalloc = false; }},
       {"- nodelay (nagle back on)", [](core::Profile& p) { p.disable_nagle = false; }},
-      {"- nonblocking logging",
-       [](core::Profile& p) {
-         p.nonblocking_logging = false;
-         p.log_cache = false;
-         p.log_writer_threads = 1;
-       }},
-      {"- light transactions",
-       [](core::Profile& p) {
-         p.light_transactions = false;
-         p.kv_batching = false;
-         p.skip_alloc_hint = false;
-       }},
+      {"- nonblocking logging", [](core::Profile& p) { p.nonblocking_logging = false; }},
+      {"- light transactions", [](core::Profile& p) { p.light_transactions = false; }},
       {"- write-through meta cache", [](core::Profile& p) { p.writethrough_meta_cache = false; }},
   };
   Table t({"configuration", "IOPS", "mean lat (ms)", "vs full"});
@@ -86,17 +75,16 @@ void batch_size_sweep() {
   t.print();
 }
 
-void kv_batching_only() {
-  std::printf("\n--- KV batching alone: write amplification (community base) ---\n");
+void light_transactions_only() {
+  std::printf("\n--- light transactions alone: write amplification (community base) ---\n");
   Table t({"mode", "IOPS", "KV write amp", "KV stalls"});
-  for (bool batching : {false, true}) {
+  for (bool light : {false, true}) {
     core::ClusterConfig cfg;
     cfg.profile = core::Profile::community();
-    cfg.profile.kv_batching = batching;
-    cfg.profile.light_transactions = batching;  // batch applies via light path
+    cfg.profile.light_transactions = light;
     cfg.sustained = true;
     auto r = run(cfg, 40, 1500 * kMillisecond);
-    t.row({batching ? "batched (1 batch/txn)" : "separate puts", Table::kiops(r.write_iops),
+    t.row({light ? "batched (1 batch/txn)" : "separate puts", Table::kiops(r.write_iops),
            Table::num(r.kv_write_amplification, 2),
            std::to_string(r.kv_stall_slowdowns)});
   }
@@ -151,7 +139,7 @@ void hot_object_skew() {
 int main() {
   one_mechanism_off();
   batch_size_sweep();
-  kv_batching_only();
+  light_transactions_only();
   pg_count_sweep();
   hot_object_skew();
   return 0;

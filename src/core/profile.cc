@@ -22,7 +22,6 @@ Profile Profile::ladder(int step) {
   if (step >= 1) {
     p.pending_queue = true;
     p.dedicated_completion = true;
-    p.fast_ack = true;
   }
   if (step >= 2) {
     p.ssd_throttles = true;
@@ -31,15 +30,11 @@ Profile Profile::ladder(int step) {
   }
   if (step >= 3) {
     p.nonblocking_logging = true;
-    p.log_cache = true;
-    p.log_writer_threads = 3;
   }
   if (step >= 4) {
     p.name = "AFCeph";
     p.light_transactions = true;
     p.writethrough_meta_cache = true;
-    p.skip_alloc_hint = true;
-    p.kv_batching = true;
   }
   return p;
 }

@@ -7,9 +7,13 @@
 
 namespace afc::core {
 
-/// One boolean per mechanism the paper adds, so the Fig. 9 ablation ladder
-/// toggles exactly one group per step and every combination can be explored
-/// in the ablation benches.
+/// The paper's optimizations, one switch per mechanism. A Fig. 9 ladder
+/// step turns on one or more switches; a switch turns on all the parts of
+/// its mechanism together (dedicated completion brings the fast ack path,
+/// light transactions drop the alloc hint, non-blocking logging brings the
+/// log cache and its writer threads). The parts have no switches of their
+/// own: the paper never measures them apart, and the fast ack path relies
+/// on the dedicated completion worker to finish the ops it credits.
 struct Profile {
   std::string name = "community";
 
@@ -19,10 +23,9 @@ struct Profile {
   bool pending_queue = false;
   /// Journal/filestore completions do only OP-lock work inline; PG-side
   /// status work is batched by a dedicated completion worker (Fig. 6).
+  /// Acks (client replies, replica commit notifications) take the fast
+  /// path around the PG queue instead of competing with data ops.
   bool dedicated_completion = false;
-  /// Acks (client replies, replica commit notifications) bypass the PG
-  /// queue instead of competing with data ops.
-  bool fast_ack = false;
 
   // --- §3.2 throttling & system tuning --------------------------------
   /// Size filestore_queue_max_ops / osd_client_message_cap for SSDs
@@ -36,21 +39,17 @@ struct Profile {
 
   // --- §3.3 non-blocking logging ---------------------------------------
   bool logging_enabled = true;
-  /// Async submission: the op path never waits for the logger.
+  /// Async submission (the op path never waits for the logger), interned
+  /// log templates (formatting cost collapses on repeat entries) and
+  /// several writer threads.
   bool nonblocking_logging = false;
-  /// Interned log templates: formatting cost collapses on repeat entries.
-  bool log_cache = false;
-  unsigned log_writer_threads = 1;
 
   // --- §3.4 light-weight transactions ----------------------------------
-  /// Merge/minimize transaction ops and syscalls.
+  /// Merge/minimize transaction ops and syscalls, and drop
+  /// OP_SETALLOCHINT (fallocate) for random small writes.
   bool light_transactions = false;
   /// Write-through metadata cache: no metadata reads on the write path.
   bool writethrough_meta_cache = false;
-  /// Drop OP_SETALLOCHINT (fallocate) for random small writes.
-  bool skip_alloc_hint = false;
-  /// One KV WriteBatch per transaction instead of one put per key.
-  bool kv_batching = false;
 
   /// Optional §3.1 extra: per-client in-order ack delivery (the paper's
   /// opt-in fix for the unordered-ack side effect of batched completions).

@@ -22,9 +22,10 @@ kv::Db::Config kv_with_profile(kv::Db::Config cfg, const core::Profile& p) {
 
 DebugLog::Config log_with_profile(DebugLog::Config cfg, const core::Profile& p) {
   cfg.enabled = p.logging_enabled;
+  // §3.3: async submission, the log cache and three writer threads.
   cfg.nonblocking = p.nonblocking_logging;
-  cfg.writer_threads = p.log_writer_threads;
-  cfg.log_cache = p.log_cache;
+  cfg.log_cache = p.nonblocking_logging;
+  cfg.writer_threads = p.nonblocking_logging ? 3 : 1;
   cfg.cpu_multiplier = p.alloc_cpu_multiplier();
   return cfg;
 }
@@ -37,6 +38,10 @@ MetaCache::Config meta_cache_cfg(const core::Profile& p) {
   c.capacity = p.writethrough_meta_cache ? std::size_t(4) << 20 : 8192;
   return c;
 }
+
+/// Bytes of the message-bytes throttle a client op holds from admission to
+/// its exit.
+std::uint64_t throttle_bytes(const ClientIoMsg& msg) { return msg.data.size() + 150; }
 
 /// Trace identity of a queued work item: client ops carry their span on the
 /// OpCtx; replica ops are attributed to the same op id on this OSD's track.
@@ -188,42 +193,24 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
       // throttle or ledger admission — it may have picked the wrong
       // primary, and a split-brain ex-primary must not keep acking writes.
       counters_.add("osd.fenced_ops");
-      send_fence_reply(*msg, conn);
+      auto reply = std::make_shared<IoReplyMsg>();
+      reply->ok = false;
+      reply->fenced = true;
+      reply->map_epoch = known_epoch_;
+      send_client_reply(*msg, conn, trace::Span{}, std::move(reply));
       co_return;
     }
   }
-  if (qos_ != nullptr) {
-    // QoS path: decode and classify in dispatch context, then park the op in
-    // its tenant's dmClock queue. The message throttles move downstream
-    // (qos_admit) — a flooding tenant's backlog must wait in *its* queue,
-    // not exhaust the global message cap and stall every connection.
-    co_await charge_cpu(cfg_.dispatch_cpu, true);
-    auto op = std::make_shared<OpCtx>();
-    op->msg = msg;
-    op->reply_conn = conn;
-    op->stamp(kStRecv, sim_.now());
-    if (auto* tr = trace::Collector::active()) {
-      op->span = trace::Span{msg->op_id, trace::osd_track(id_)};
-      tr->begin(op->span, tr->stage_id(msg->is_write ? stage::kWriteOp : stage::kReadOp),
-                sim_.now());
-    }
-    inflight_[msg->op_id] = op;
-    if (profile_.ordered_acks && msg->is_write) {
-      ack_state_[msg->client_id].outstanding.insert(msg->op_id);
-    }
-    WorkItem item;
-    item.kind = WorkItem::kClientOp;
-    item.pg = msg->pg;
-    item.op = std::move(op);
-    const std::uint64_t bytes = msg->is_write ? msg->data.size() : msg->read_len;
-    qos_->enqueue(std::move(item), msg->tenant, bytes);
-    co_return;
-  }
+  // With QoS the message throttles move downstream (qos_admit): a flooding
+  // tenant's backlog must wait in *its* dmClock queue, not exhaust the
+  // global message cap and stall every connection. Without it, suspending
+  // here stalls this connection's delivery pipeline
+  // (osd_client_message_cap backpressure).
   const Time throttle_t0 = sim_.now();
-  // Messenger dispatch throttle: suspending here stalls this connection's
-  // delivery pipeline (osd_client_message_cap backpressure).
-  co_await throttles_.messages.acquire(1);
-  co_await throttles_.message_bytes.acquire(msg->data.size() + 150);
+  if (qos_ == nullptr) {
+    co_await throttles_.messages.acquire(1);
+    co_await throttles_.message_bytes.acquire(throttle_bytes(*msg));
+  }
   co_await charge_cpu(cfg_.dispatch_cpu, true);
 
   auto op = std::make_shared<OpCtx>();
@@ -232,7 +219,7 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
   op->stamp(kStRecv, sim_.now());
   if (auto* tr = trace::Collector::active()) {
     op->span = trace::Span{msg->op_id, trace::osd_track(id_)};
-    if (const Time waited_until = sim_.now(); waited_until > throttle_t0) {
+    if (const Time waited_until = sim_.now(); qos_ == nullptr && waited_until > throttle_t0) {
       tr->complete(op->span, tr->stage_id(stage::kDispatchThrottle), throttle_t0, waited_until);
     }
     tr->begin(op->span, tr->stage_id(msg->is_write ? stage::kWriteOp : stage::kReadOp),
@@ -247,24 +234,24 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
   item.kind = WorkItem::kClientOp;
   item.pg = msg->pg;
   item.op = std::move(op);
-  shard_push(std::move(item));
+  if (qos_ != nullptr) {
+    qos_->enqueue(std::move(item), msg->tenant, msg->is_write ? msg->data.size() : msg->read_len);
+  } else {
+    shard_push(std::move(item));
+  }
 }
 
 sim::CoTask<void> Osd::qos_admit(WorkItem item) {
   ClientIoMsg& msg = *item.op->msg;
   const Time throttle_t0 = sim_.now();
   co_await throttles_.messages.acquire(1);
-  co_await throttles_.message_bytes.acquire(msg.data.size() + 150);
+  co_await throttles_.message_bytes.acquire(throttle_bytes(msg));
   if (auto* tr = trace::Collector::active();
       tr != nullptr && item.op->span.valid() && sim_.now() > throttle_t0) {
     tr->complete(item.op->span, tr->stage_id(stage::kDispatchThrottle), throttle_t0,
                  sim_.now());
   }
   shard_push(std::move(item));
-}
-
-void Osd::qos_op_done() {
-  if (qos_ != nullptr) qos_->op_done();
 }
 
 sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
@@ -297,8 +284,9 @@ sim::CoTask<void> Osd::dispatch_rep_reply(std::shared_ptr<RepReplyMsg> msg) {
   }
   op->peers_committed.push_back(msg->from_osd);
   std::erase(op->waiting_peers, msg->from_osd);
-  if (profile_.fast_ack) {
-    // AFCeph: replica commit handled right here, no PG-queue round trip.
+  if (profile_.dedicated_completion) {
+    // AFCeph fast ack: replica commit handled right here, no PG-queue round
+    // trip; the completion worker finishes the op.
     co_await charge_cpu(cfg_.repreply_cpu, false);
     op->commits_seen++;
     op->stamp(kStRepAcked, sim_.now());
@@ -434,38 +422,12 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.prepare_cpu, true);
 
-  const std::uint64_t version = pg.next_version();
-  fs::Transaction txn;
-  txn.write(msg.oid, msg.offset, msg.data);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(msg.oid, std::move(kvs));
-  }
-  txn.setattrs(msg.oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                         {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(msg.oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(msg.oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
-
-  // Every write refreshes the in-memory object context (community Ceph does
-  // this too); the community/AFCeph difference is the cache's capacity and
-  // whether a miss forces a storage read.
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  op->version = pg.next_version();
+  op->local_oid = msg.oid;
+  fs::Transaction txn = write_txn(pg, op->version, msg.oid, msg.offset, msg.data, /*primary=*/true);
 
   // Splay replication: subops to every replica, ack when all journals
   // (local + replicas) have committed.
-  op->version = version;
   op->commits_needed = unsigned(pg.acting().size());
   for (std::uint32_t peer : pg.acting()) {
     if (peer == id_) continue;
@@ -476,15 +438,46 @@ sim::CoTask<void> Osd::process_client_write(WorkItem& item) {
     send_rep_op(*op, peer);
     op->waiting_peers.push_back(peer);
   }
-  op->commits_planned = op->commits_needed;
   op->min_commits = std::min(cmap_.min_size(), op->commits_needed);
-  if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
-  op->stamp(kStSubmitted, sim_.now());
-  op->local_oid = msg.oid;
-  co_await submit_local_txn(op, std::move(txn));
+  co_await submit_local_txn(op, meta, std::move(txn));
 }
 
-sim::CoTask<void> Osd::submit_local_txn(OpRef op, fs::Transaction txn) {
+fs::Transaction Osd::write_txn(Pg& pg, std::uint64_t version, const fs::ObjectId& oid,
+                               std::uint64_t offset, const Payload& data, bool primary) {
+  fs::Transaction txn;
+  txn.write(oid, offset, data);
+  std::vector<std::pair<std::string, kv::Value>> kvs;
+  kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
+  kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
+  txn.omap_setkeys(oid, std::move(kvs));
+  std::vector<std::pair<std::string, kv::Value>> attrs{
+      {"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))}};
+  if (primary) attrs.emplace_back("snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes)));
+  txn.setattrs(oid, std::move(attrs));
+  if (!profile_.light_transactions) txn.set_alloc_hint(oid);
+  if (primary && version % cfg_.pg_log_trim_every == 0 &&
+      version > pg.log_floor + cfg_.pg_log_keep) {
+    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
+    txn.omap_rmkeyrange(oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
+    pg.log_floor = new_floor;
+  }
+  return txn;
+}
+
+sim::CoTask<void> Osd::submit_local_txn(OpRef op, ObjectMeta before, fs::Transaction txn) {
+  // Every write refreshes the in-memory object context (community Ceph does
+  // this too); the community/AFCeph difference is the cache's capacity and
+  // whether a miss forces a storage read.
+  const ClientIoMsg& msg = *op->msg;
+  ObjectMeta updated;
+  updated.exists = true;
+  updated.size = std::max(before.size, msg.offset + msg.data.size());
+  updated.version = op->version;
+  meta_cache_.insert(msg.oid, updated);
+
+  op->commits_planned = op->commits_needed;
+  if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
+  op->stamp(kStSubmitted, sim_.now());
   // Admission to the store — still inside the PG critical section, which
   // is exactly the paper's Fig. 3 step (3) complaint.
   const std::uint64_t jbytes = txn.encoded_bytes();
@@ -552,16 +545,7 @@ sim::CoTask<void> Osd::process_replica_op(WorkItem& item) {
   co_await charge_cpu(cfg_.replica_prepare_cpu, true);
   pg.observe_version(rep.version);
 
-  fs::Transaction txn;
-  txn.write(rep.oid, rep.offset, rep.data);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(rep.version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(rep.oid, std::move(kvs));
-  }
-  txn.setattrs(rep.oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(rep.oid);
+  fs::Transaction txn = write_txn(pg, rep.version, rep.oid, rep.offset, rep.data, /*primary=*/false);
   if (trace::Collector::active() != nullptr) txn.trace = item_span(item, id_);
 
   const std::uint64_t jbytes = txn.encoded_bytes();
@@ -646,8 +630,11 @@ void Osd::handle_commit_recorded(OpRef& op) {
     return;
   }
   op->acked = true;
-  if (profile_.fast_ack) {
-    fast_ack_now(op);
+  if (profile_.dedicated_completion) {
+    sim::spawn_fn([this, op]() mutable -> sim::CoTask<void> {
+      co_await charge_cpu(cfg_.fast_ack_cpu, false);
+      deliver_ack(op);
+    });
   } else {
     WorkItem item;
     item.kind = WorkItem::kAckEvent;
@@ -756,46 +743,19 @@ void Osd::fail_op(OpRef op) {
   op->failed = true;
   disarm_rep_timer(*op);
   counters_.add("osd.write_failures");
-  ClientIoMsg& msg = *op->msg;
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
+  const ClientIoMsg& msg = *op->msg;
+  retire_op(msg);
   if (profile_.ordered_acks && msg.is_write) {
-    // Drop the failed op from the ordered-ack ledger, then drain any acks it
-    // was holding back.
+    // Drop the failed op from the ordered-ack ledger, then release any acks
+    // it was holding back.
     auto& st = ack_state_[msg.client_id];
     st.outstanding.erase(msg.op_id);
     st.held.erase(msg.op_id);
-    while (!st.held.empty() && !st.outstanding.empty() &&
-           st.held.begin()->first == *st.outstanding.begin()) {
-      OpRef next = st.held.begin()->second;
-      st.held.erase(st.held.begin());
-      st.outstanding.erase(st.outstanding.begin());
-      send_reply_message(next);
-    }
+    send_held_acks(st);
   }
   auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = true;
   reply->ok = false;
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = kWriteReply;
-  wire.size = cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  if (op->reply_conn != nullptr) op->reply_conn->send(std::move(wire));
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    tr->end(op->span, tr->stage_id(stage::kWriteOp), sim_.now());
-  }
-}
-
-void Osd::fast_ack_now(OpRef op) {
-  sim::spawn_fn([this, op]() mutable -> sim::CoTask<void> {
-    co_await charge_cpu(cfg_.fast_ack_cpu, false);
-    deliver_ack(op);
-  });
+  send_client_reply(msg, op->reply_conn, op->span, std::move(reply));
 }
 
 sim::CoTask<void> Osd::finisher_loop() {
@@ -809,23 +769,13 @@ sim::CoTask<void> Osd::finisher_loop() {
     if (pg == nullptr) continue;
     co_await pg->lock().lock();
     co_await charge_cpu(cfg_.commit_cpu, false);
-    switch (evt->kind) {
-      case CompletionEvent::kCommit:
-        evt->op->commits_seen++;
-        evt->op->stamp(kStCommitEvt, sim_.now());
-        handle_commit_recorded(evt->op);
-        break;
-      case CompletionEvent::kRepCommit:
-        evt->op->commits_seen++;
-        evt->op->stamp(kStRepAcked, sim_.now());
-        handle_commit_recorded(evt->op);
-        break;
-      case CompletionEvent::kApplied:
-        break;  // bookkeeping only
-      case CompletionEvent::kRepCommitSend:
-        send_rep_reply(evt->conn, *evt->rep, /*fenced=*/false);
-        break;
-    }
+    if (evt->kind == CompletionEvent::kCommit) {
+      evt->op->commits_seen++;
+      evt->op->stamp(kStCommitEvt, sim_.now());
+      handle_commit_recorded(evt->op);
+    } else if (evt->kind == CompletionEvent::kRepCommitSend) {
+      send_rep_reply(evt->conn, *evt->rep, /*fenced=*/false);
+    }  // kApplied: bookkeeping only
     pg->lock().unlock();
   }
 }
@@ -846,19 +796,11 @@ sim::CoTask<void> Osd::completion_worker_loop() {
     co_await charge_cpu(
         cfg_.completion_batch_overhead + cfg_.completion_batch_cpu * Time(batch.size()), false);
     for (auto& evt : batch) {
-      switch (evt.kind) {
-        case CompletionEvent::kCommit:
-          evt.op->commits_seen++;
-          evt.op->stamp(kStCommitEvt, sim_.now());
-          handle_commit_recorded(evt.op);
-          break;
-        case CompletionEvent::kRepCommit:
-          handle_commit_recorded(evt.op);  // counted at dispatch already
-          break;
-        case CompletionEvent::kApplied:
-        case CompletionEvent::kRepCommitSend:
-          break;
-      }
+      if (evt.kind == CompletionEvent::kCommit) {
+        evt.op->commits_seen++;
+        evt.op->stamp(kStCommitEvt, sim_.now());
+      }  // kRepCommit: counted at dispatch already
+      handle_commit_recorded(evt.op);
     }
   }
 }
@@ -944,34 +886,10 @@ sim::CoTask<void> Osd::process_client_read(WorkItem& item) {
   ObjectMeta meta = co_await ensure_object_meta(msg.oid);
   co_await charge_cpu(cfg_.read_cpu, true);
 
-  auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = false;
-  reply->issued_at = msg.issued_at;
-  if (meta.exists) {
-    auto rr = co_await store_->read(msg.oid, msg.offset, msg.read_len, msg.want_data);
-    reply->ok = rr.found;
-    reply->data_len = rr.length;
-    reply->data = std::move(rr.data);
-  } else {
-    reply->ok = false;
-  }
+  store::ObjectStore::ReadResult rr;
+  if (meta.exists) rr = co_await store_->read(msg.oid, msg.offset, msg.read_len, msg.want_data);
   client_reads_++;
-
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
-
-  net::Message wire;
-  wire.type = kReadReply;
-  wire.size = reply->data_len + cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  op->reply_conn->send(std::move(wire));
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    tr->end(op->span, tr->stage_id(stage::kReadOp), sim_.now());
-  }
+  send_read_reply(op, rr.found, rr.length, std::move(rr.data));
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,32 +949,10 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
     for (auto& par : codec_->encode(chunks)) shards.push_back(Payload::bytes(std::move(par)));
   }
 
-  const std::uint64_t version = pg.next_version();
-  op->version = version;
+  op->version = pg.next_version();
   op->local_oid = ec::shard_oid(msg.oid, self_pos);
-  fs::Transaction txn;
-  txn.write(op->local_oid, soff, shards[self_pos]);
-  {
-    std::vector<std::pair<std::string, kv::Value>> kvs;
-    kvs.emplace_back(pg.log_key(version), kv::Value::virt(std::uint32_t(cfg_.pg_log_entry_bytes)));
-    kvs.emplace_back(pg.info_key(), kv::Value::virt(std::uint32_t(cfg_.pg_info_bytes)));
-    txn.omap_setkeys(op->local_oid, std::move(kvs));
-  }
-  txn.setattrs(op->local_oid, {{"_", kv::Value::virt(std::uint32_t(cfg_.attr_oi_bytes))},
-                               {"snapset", kv::Value::virt(std::uint32_t(cfg_.attr_ss_bytes))}});
-  if (!profile_.skip_alloc_hint) txn.set_alloc_hint(op->local_oid);
-  if (version % cfg_.pg_log_trim_every == 0 && version > pg.log_floor + cfg_.pg_log_keep) {
-    const std::uint64_t new_floor = version - cfg_.pg_log_keep;
-    txn.omap_rmkeyrange(op->local_oid, pg.log_key(pg.log_floor), pg.log_key(new_floor));
-    pg.log_floor = new_floor;
-  }
-  {
-    ObjectMeta updated;
-    updated.exists = true;
-    updated.size = std::max(meta.size, msg.offset + msg.data.size());
-    updated.version = version;
-    meta_cache_.insert(msg.oid, updated);
-  }
+  fs::Transaction txn =
+      write_txn(pg, op->version, op->local_oid, soff, shards[self_pos], /*primary=*/true);
 
   // One sub-op per remote shard position; the replica path is EC-oblivious.
   op->commits_needed = 0;
@@ -1073,13 +969,10 @@ sim::CoTask<void> Osd::process_client_write_ec(WorkItem& item) {
     send_rep_op(*op, peer);
     op->waiting_peers.push_back(peer);
   }
-  op->commits_planned = op->commits_needed;
   // Unclamped ack floor: a stripe with fewer than k+1 durable shards must
   // fail, not ack degraded — one further loss would destroy acked data.
   op->min_commits = cmap_.ack_floor();
-  if (cfg_.rep_timeout > 0 && !op->waiting_peers.empty()) arm_rep_timer(op);
-  op->stamp(kStSubmitted, sim_.now());
-  co_await submit_local_txn(op, std::move(txn));
+  co_await submit_local_txn(op, meta, std::move(txn));
 }
 
 sim::CoTask<void> Osd::process_client_read_ec(WorkItem& item) {
@@ -1292,38 +1185,13 @@ void Osd::handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg) {
   g.cv.notify_all();
 }
 
-void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
-                          std::optional<std::vector<std::uint8_t>> data) {
-  ClientIoMsg& msg = *op->msg;
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
-  auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = false;
-  reply->ok = ok;
-  reply->data_len = data_len;
-  reply->data = std::move(data);
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = kReadReply;
-  wire.size = data_len + cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  wire.trace = op->span;
-  if (op->reply_conn != nullptr) op->reply_conn->send(std::move(wire));
-  if (auto* tr = trace::Collector::active(); tr != nullptr && op->span.valid()) {
-    tr->end(op->span, tr->stage_id(stage::kReadOp), sim_.now());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Ack delivery
+// Op exits
 // ---------------------------------------------------------------------------
 
 void Osd::deliver_ack(OpRef op) {
   if (!profile_.ordered_acks) {
-    send_reply_message(op);
+    send_ack(op);
     return;
   }
   // §3.1: batched completions may complete ops out of client order; when the
@@ -1335,20 +1203,24 @@ void Osd::deliver_ack(OpRef op) {
     // daemon's RAM. Reply directly (the client discards stale replies)
     // instead of parking it in `held`, where it would wedge every
     // post-restart ack behind an op id that will never reach the head.
-    send_reply_message(op);
+    send_ack(op);
     return;
   }
   st.held.emplace(op->msg->op_id, op);
+  send_held_acks(st);
+}
+
+void Osd::send_held_acks(ClientAckState& st) {
   while (!st.held.empty() && !st.outstanding.empty() &&
          st.held.begin()->first == *st.outstanding.begin()) {
     OpRef next = st.held.begin()->second;
     st.held.erase(st.held.begin());
     st.outstanding.erase(st.outstanding.begin());
-    send_reply_message(next);
+    send_ack(next);
   }
 }
 
-void Osd::send_reply_message(OpRef& op) {
+void Osd::send_ack(OpRef& op) {
   ClientIoMsg& msg = *op->msg;
   // Safety invariant: acks_below_min_size must stay 0 under every fault plan
   // (the chaos soak asserts it); acks_degraded counts legitimate degraded
@@ -1375,24 +1247,42 @@ void Osd::send_reply_message(OpRef& op) {
       tr->complete(op->span, tr->stage_id(stage::kReplication), op->ts[kStSubmitted],
                    op->ts[kStRepAcked]);
     }
-    tr->end(op->span, tr->stage_id(stage::kWriteOp), sim_.now());
   }
+  retire_op(msg);
+  send_client_reply(msg, op->reply_conn, op->span, std::make_shared<IoReplyMsg>());
+}
 
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(msg.data.size() + 150);
-  qos_op_done();
-  inflight_.erase(msg.op_id);
-
+void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
+                          std::optional<std::vector<std::uint8_t>> data) {
+  retire_op(*op->msg);
   auto reply = std::make_shared<IoReplyMsg>();
+  reply->ok = ok;
+  reply->data_len = data_len;
+  reply->data = std::move(data);
+  send_client_reply(*op->msg, op->reply_conn, op->span, std::move(reply));
+}
+
+void Osd::retire_op(const ClientIoMsg& msg) {
+  throttles_.messages.release(1);
+  throttles_.message_bytes.release(throttle_bytes(msg));
+  if (qos_ != nullptr) qos_->op_done();
+  inflight_.erase(msg.op_id);
+}
+
+void Osd::send_client_reply(const ClientIoMsg& msg, net::Connection* conn,
+                            const trace::Span& span, std::shared_ptr<IoReplyMsg> reply) {
   reply->op_id = msg.op_id;
-  reply->is_write = true;
+  reply->is_write = msg.is_write;
   reply->issued_at = msg.issued_at;
   net::Message wire;
-  wire.type = kWriteReply;
-  wire.size = cfg_.reply_msg_bytes;
+  wire.type = msg.is_write ? kWriteReply : kReadReply;
+  wire.size = reply->data_len + cfg_.reply_msg_bytes;
   wire.body = std::move(reply);
-  wire.trace = op->span;
-  op->reply_conn->send(std::move(wire));
+  wire.trace = span;
+  if (conn != nullptr) conn->send(std::move(wire));
+  if (auto* tr = trace::Collector::active(); tr != nullptr && span.valid()) {
+    tr->end(span, tr->stage_id(msg.is_write ? stage::kWriteOp : stage::kReadOp), sim_.now());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1533,21 +1423,6 @@ void Osd::send_beacon(bool boot) {
   m.size = 64;
   m.body = std::move(body);
   mon_conn_->send(std::move(m));
-}
-
-void Osd::send_fence_reply(const ClientIoMsg& msg, net::Connection* conn) {
-  auto reply = std::make_shared<IoReplyMsg>();
-  reply->op_id = msg.op_id;
-  reply->is_write = msg.is_write;
-  reply->ok = false;
-  reply->fenced = true;
-  reply->map_epoch = known_epoch_;
-  reply->issued_at = msg.issued_at;
-  net::Message wire;
-  wire.type = msg.is_write ? kWriteReply : kReadReply;
-  wire.size = cfg_.reply_msg_bytes;
-  wire.body = std::move(reply);
-  if (conn != nullptr) conn->send(std::move(wire));
 }
 
 void Osd::request_map() {
@@ -1691,7 +1566,6 @@ sim::CoTask<void> Osd::on_restart() {
 // ---------------------------------------------------------------------------
 
 void Osd::close() {
-  closing_ = true;
   if (hb_ != nullptr) hb_->stop();
   for (auto& q : shard_queues_) q->close();
   finisher_q_.close();

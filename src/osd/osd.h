@@ -96,12 +96,16 @@ struct OsdConfig {
 /// both its community and its AFCeph form, selected by core::Profile:
 ///
 ///   PG path        : blocking PG lock  | pending queue (Fig. 5)
-///   completions    : single finisher under PG lock | OP-lock + batched
-///                    dedicated completion worker (Fig. 6)
-///   acks           : re-queued through OP_WQ | fast path
+///   completions    : single finisher under PG lock, acks re-queued through
+///                    OP_WQ | OP-lock + batched dedicated completion worker
+///                    (Fig. 6) with fast acks
 ///   logging        : blocking single-writer dout | non-blocking multi-writer
 ///   transactions   : full op set + RMW metadata reads | light transactions
 ///   throttles      : HDD defaults | SSD-sized
+///
+/// Every admitted client op leaves through retire_op() and
+/// send_client_reply(), whatever its outcome (ack, read reply, failure);
+/// every copy of a write builds its transaction in write_txn().
 class Osd : public net::Receiver {
  public:
   Osd(sim::Simulation& sim, net::Node& node, dev::Device& journal_dev,
@@ -137,12 +141,11 @@ class Osd : public net::Receiver {
   sim::CoTask<std::uint64_t> push_pg(std::uint32_t pgid, Osd& target);
   /// Install one recovered object (charged as a light apply).
   sim::CoTask<void> recover_object(const fs::ObjectId& oid, store::ObjectExport data);
-  /// Recovery support: wait until the object's journaled writes have reached
-  /// the filestore (public face of the ondisk-read gate; EC shard rebuild
-  /// must not export a shard the filestore is still behind on).
-  sim::CoTask<void> wait_object_flushed(const fs::ObjectId& oid) {
-    return wait_object_readable(oid);
-  }
+  /// Ceph's ondisk_read_lock: wait until the object's in-flight (journaled
+  /// but not yet applied) writes reach the store. Reads wait here, and so
+  /// does recovery: EC shard rebuild must not export a shard the store is
+  /// still behind on.
+  sim::CoTask<void> wait_object_readable(const fs::ObjectId& oid);
   /// The daemon died (fault injection): its RAM — the op ledger and the
   /// ordered-ack bookkeeping — is gone. Log and store state survive on
   /// media; coroutines already in flight keep running as zombies whose
@@ -225,8 +228,6 @@ class Osd : public net::Receiver {
   /// QoS path only: acquire the message throttles a dispatched op skipped
   /// (they are held until resolution, like the seed path), then shard_push.
   sim::CoTask<void> qos_admit(WorkItem item);
-  /// An op resolved (ack / read reply / failure): free its QoS window slot.
-  void qos_op_done();
 
   // --- OP_WQ ------------------------------------------------------------
   sim::CoTask<void> worker_loop(unsigned shard);
@@ -249,8 +250,6 @@ class Osd : public net::Receiver {
   sim::CoTask<void> serve_shard_read(std::shared_ptr<ShardReadMsg> msg,
                                      net::Connection* conn);
   void handle_shard_read_reply(std::shared_ptr<ShardReadReplyMsg> msg);
-  void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
-                       std::optional<std::vector<std::uint8_t>> data);
   bool osd_up(std::uint32_t osd_id) const;
 
   // --- metadata ---------------------------------------------------------
@@ -268,8 +267,6 @@ class Osd : public net::Receiver {
   void fail_op(OpRef op);
 
   // --- membership helpers (kDetected only) -------------------------------
-  /// Reject a stale-epoch client op before admission (no throttles held).
-  void send_fence_reply(const ClientIoMsg& msg, net::Connection* conn);
   /// Answer a replica op: a commit ack, or (`fenced`) a stale-epoch rejection
   /// carrying this OSD's map epoch.
   void send_rep_reply(net::Connection* conn, const RepOpMsg& rep, bool fenced);
@@ -289,10 +286,18 @@ class Osd : public net::Receiver {
     std::shared_ptr<RepOpMsg> rep;
     net::Connection* conn;
   };
-  /// Primary write admission (inside the PG critical section): throttles
-  /// plus the store's reserve(), then the commit path runs detached.
+  /// The transaction one copy of a write applies: the data, the PG log
+  /// entry and PG info as omap keys, the object-info attr and, unless light
+  /// transactions drop it, the alloc hint. A primary also writes the snapset
+  /// attr and trims the PG log.
+  fs::Transaction write_txn(Pg& pg, std::uint64_t version, const fs::ObjectId& oid,
+                            std::uint64_t offset, const Payload& data, bool primary);
+  /// Primary write submission, once the sub-ops are out (inside the PG
+  /// critical section): refresh the object context (`before` is the one the
+  /// write started from), arm the watchdog, then admission — throttles plus
+  /// the store's reserve() — and the commit path runs detached.
   /// `op->local_oid` names the object `txn` writes here.
-  sim::CoTask<void> submit_local_txn(OpRef op, fs::Transaction txn);
+  sim::CoTask<void> submit_local_txn(OpRef op, ObjectMeta before, fs::Transaction txn);
   /// Commit at the store's queue_transaction(), then queue the apply (unless
   /// the commit applied) and the completion.
   sim::CoTask<void> commit_path(OpRef op);
@@ -302,8 +307,6 @@ class Osd : public net::Receiver {
   sim::CoTask<void> finisher_loop();           // community: one, PG lock per event
   sim::CoTask<void> completion_worker_loop();  // AFCeph: batched, no PG lock
   void handle_commit_recorded(OpRef& op);      // common bookkeeping
-  sim::CoTask<void> queue_ack(OpRef op);       // community path
-  void fast_ack_now(OpRef op);
 
   // --- store apply -------------------------------------------------------
   struct ApplyItem {
@@ -319,15 +322,32 @@ class Osd : public net::Receiver {
   /// open the ondisk-read gate for `oid`.
   void release_apply(std::uint64_t bytes, const fs::ObjectId& oid);
 
-  /// Ceph's ondisk_read_lock: a read of an object waits until the object's
-  /// in-flight (journaled but not yet applied) writes reach the filestore.
+  /// The ondisk-read gate's bookkeeping (wait_object_readable).
   void note_apply_queued(const fs::ObjectId& oid);
   void note_apply_done(const fs::ObjectId& oid);
-  sim::CoTask<void> wait_object_readable(const fs::ObjectId& oid);
 
-  // --- ack delivery -------------------------------------------------------
+  // --- op exits -----------------------------------------------------------
+  /// Ordered-ack delivery (per client): op ids outstanding and acks held
+  /// back until their predecessors complete.
+  struct ClientAckState {
+    std::set<std::uint64_t> outstanding;
+    std::map<std::uint64_t, OpRef> held;
+  };
+  /// Write ack, held back first if ordered acks are on.
   void deliver_ack(OpRef op);
-  void send_reply_message(OpRef& op);
+  /// Send held acks from the front while their predecessors have resolved.
+  void send_held_acks(ClientAckState& st);
+  void send_ack(OpRef& op);
+  void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
+                       std::optional<std::vector<std::uint8_t>> data);
+  /// An admitted op leaves the OSD: give back its message throttle units
+  /// and QoS window slot, and drop it from the op ledger.
+  void retire_op(const ClientIoMsg& msg);
+  /// Build and send a client reply (`reply` carries the outcome), then end
+  /// the op's span. A fence reply passes no span: its op was never
+  /// admitted, so it holds no throttle units either.
+  void send_client_reply(const ClientIoMsg& msg, net::Connection* conn,
+                         const trace::Span& span, std::shared_ptr<IoReplyMsg> reply);
 
   sim::CoTask<void> charge_cpu(Time cost, bool alloc_heavy);
 
@@ -382,13 +402,7 @@ class Osd : public net::Receiver {
   };
   std::unordered_map<std::uint32_t, ApplySeq> apply_seq_;
 
-  // Ordered-ack delivery (per client): op ids outstanding and acks held
-  // back until their predecessors complete.
-  struct ClientAckState {
-    std::set<std::uint64_t> outstanding;
-    std::map<std::uint64_t, OpRef> held;
-  };
-  std::unordered_map<std::uint64_t, ClientAckState> ack_state_;
+  std::unordered_map<std::uint64_t, ClientAckState> ack_state_;  // by client id
 
   // --- membership state (empty/null under kOracle) ------------------------
   std::unique_ptr<HeartbeatAgent> hb_;
@@ -407,7 +421,6 @@ class Osd : public net::Receiver {
   std::uint64_t client_writes_ = 0;
   std::uint64_t client_reads_ = 0;
   std::uint64_t replica_ops_ = 0;
-  bool closing_ = false;
 };
 
 }  // namespace afc::osd

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/cluster_sim.h"
+#include "fault/plan.h"
 
 namespace afc {
 namespace {
@@ -644,10 +647,11 @@ TEST(PaperShapes, SustainedStateHurtsCommunityMoreThanAfceph) {
 
 // ---------------------------------------------------------------------------
 // Commit-path golden fingerprints: a small mixed workload through every
-// store backend and profile, plus an EC(4+2) pool. The pinned integers fix
-// the event order of the whole write path: any change to it moves at least
-// one of them, and a refactor that must keep every figure byte-identical
-// has to keep them all.
+// store backend and profile, plus an EC(4+2) pool, the Fig. 9 lock-opt
+// step, ordered acks, and a partition that sends ops through the failure
+// and degraded-ack exits. The pinned integers fix the event order of the
+// whole write path: any change to it moves at least one of them, and a
+// refactor that must keep every figure byte-identical has to keep them all.
 
 struct GoldenCase {
   const char* name;
@@ -662,6 +666,29 @@ struct GoldenCase {
 };
 
 class CommitPathGolden : public ::testing::TestWithParam<GoldenCase> {};
+
+/// Setup on top of a case's base config for the cases that need more than a
+/// backend and a profile, keyed by case name. (GoldenCase keeps its layout:
+/// gtest prints a parameter as its bytes, so the test names carry its size.)
+void golden_setup(const std::string& name, core::ClusterConfig& cfg, fault::FaultPlan& plan) {
+  if (name == "file_lock_opt") {
+    // Fig. 9 step 1: dedicated completion and fast acks, with heavy
+    // transactions and blocking logs.
+    cfg.profile = core::Profile::ladder(1);
+  } else if (name == "file_afceph_ordered_acks") {
+    cfg.profile.ordered_acks = true;
+  } else if (name == "file_afceph_partition") {
+    // Replication watchdog under a partition: ops whose primary is cut off
+    // fail (fewer than min_size copies), ops that lose one of two replicas
+    // ack degraded, and a failure releases the ordered acks it held back.
+    cfg.profile.ordered_acks = true;
+    cfg.replication = 3;
+    cfg.min_size = 2;
+    cfg.osd.rep_timeout = 10 * kMillisecond;
+    cfg.osd.rep_retries = 1;
+    plan.link_partition(50 * kMillisecond, 1, fault::kAllPeers, 40 * kMillisecond);
+  }
+}
 
 TEST_P(CommitPathGolden, FingerprintsMatchPinnedValues) {
   const GoldenCase& g = GetParam();
@@ -685,7 +712,10 @@ TEST_P(CommitPathGolden, FingerprintsMatchPinnedValues) {
     cfg.osds_per_node = 2;
     cfg.pg_num = 64;
   }
+  fault::FaultPlan plan;
+  golden_setup(g.name, cfg, plan);
   core::ClusterSim cluster(cfg);
+  if (!plan.empty()) cluster.install_faults(plan);
   auto spec = client::WorkloadSpec::rand_write(4096, 4);
   spec.write_fraction = 0.7;
   spec.verify = true;
@@ -720,7 +750,13 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"flash_afceph", store::Backend::kFlash, true, false, 88394u, 1672u, 2332u,
                    11342336u, 7500721u},
         GoldenCase{"ec_file_afceph", store::Backend::kFile, true, true, 247119u, 1348u, 5670u,
-                   34902612u, 8577056u}),
+                   34902612u, 8577056u},
+        GoldenCase{"file_lock_opt", store::Backend::kFile, false, false, 17889u, 284u, 384u,
+                   3578880u, 3145728u},
+        GoldenCase{"file_afceph_ordered_acks", store::Backend::kFile, true, false, 103359u,
+                   1643u, 2291u, 21168516u, 10501840u},
+        GoldenCase{"file_afceph_partition", store::Backend::kFile, true, false, 52021u, 583u,
+                   1220u, 11259760u, 5525120u}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) { return info.param.name; });
 
 }  // namespace
