@@ -38,9 +38,9 @@
 #include "fs/journal.h"
 #include "kv/db.h"
 #include "net/messenger.h"
-#include "osd/ec_rebuild.h"
 #include "osd/osd.h"
 #include "osd/qos.h"
+#include "osd/recovery.h"
 #include "sim/channel.h"
 #include "sim/cpu.h"
 #include "sim/simulation.h"

@@ -9,7 +9,7 @@
 #include "ec/codec.h"
 #include "ec/layout.h"
 #include "net/profile.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 
 namespace afc::core {
 
@@ -105,64 +105,32 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
   cfg_.flash.assume_populated = cfg_.fs.assume_populated;
   cfg_.flash.page_cache_pages = cfg_.fs.page_cache_pages;
 
-  const osd::ThrottleSet::Config throttle_cfg = cfg_.profile.ssd_throttles
-                                                    ? osd::ThrottleSet::Config::ssd_tuned()
-                                                    : osd::ThrottleSet::Config::community();
-
-  const store::StoreConfig store_cfg{cfg_.store_backend, cfg_.fs, cfg_.flash};
+  throttle_cfg_ = cfg_.profile.ssd_throttles ? osd::ThrottleSet::Config::ssd_tuned()
+                                             : osd::ThrottleSet::Config::community();
+  store_cfg_ = store::StoreConfig{cfg_.store_backend, cfg_.fs, cfg_.flash};
+  cluster_net_ = net::NetProfile::cluster(cfg_.net);
+  client_net_ = net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
 
   // --- nodes, devices, OSDs --------------------------------------------
   const unsigned total_osds = cfg_.osd_nodes * cfg_.osds_per_node;
-  for (unsigned n = 0; n < cfg_.osd_nodes; n++) {
-    osd_nodes_.push_back(std::make_unique<net::Node>(
-        sim_, "node." + std::to_string(n), net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
-    nvrams_.push_back(
-        std::make_unique<dev::NvramModel>(sim_, "nvram." + std::to_string(n), cfg_.nvram));
-  }
+  for (unsigned n = 0; n < cfg_.osd_nodes; n++) add_osd_node();
   for (unsigned c = 0; c < cfg_.client_nodes; c++) {
     client_nodes_.push_back(
         std::make_unique<net::Node>(sim_, "client." + std::to_string(c),
                                     net::Node::Config{cfg_.client_node_cores, 1250 * kMiB}));
   }
+  for (unsigned i = 0; i < total_osds; i++) add_osd(i / cfg_.osds_per_node);
 
-  for (unsigned i = 0; i < total_osds; i++) {
-    const unsigned node = i / cfg_.osds_per_node;
-    cmap_.crush().add_osd(i, node);
-    // Paper §4.1: "OSD 1~4 uses 3,3,2,2 SSDs respectively", RAID-0.
-    dev::SsdModel::Config ssd_cfg = cfg_.ssd;
-    ssd_cfg.drives = (i % cfg_.osds_per_node) < 2 ? 3 : 2;
-    ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(i), ssd_cfg));
-    osds_.push_back(std::make_unique<osd::Osd>(
-        sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[i], cmap_, i, cfg_.osd, cfg_.profile,
-        store_cfg, cfg_.kv, throttle_cfg, cfg_.log));
-    if (auto* tr = trace::Collector::active()) {
-      tr->name_track(trace::osd_track(i), "osd." + std::to_string(i));
-    }
-  }
-
-  // --- PG instantiation --------------------------------------------------
+  // --- PG instantiation: every member of every acting set, nothing to
+  // recover.
+  const std::vector<osd::Osd*> roster = osd_roster();
   for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    for (std::uint32_t osd_id : acting) {
-      // EC acting sets can carry kNoOsd holes (more shards than live OSDs).
-      if (osd_id == cluster::ClusterMap::kNoOsd) continue;
-      osds_[osd_id]->create_pg(pg, acting);
-    }
+    osd::plan_pg_recovery(cmap_, roster, pg, cmap_.acting(pg), nullptr);
   }
 
-  // --- cluster-network wiring ------------------------------------------
-  const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
-  for (unsigned i = 0; i < total_osds; i++) {
-    for (unsigned j = i + 1; j < total_osds; j++) {
-      net::Connection* conn = osds_[i]->messenger().connect(osds_[j]->messenger(), cluster_net);
-      osds_[i]->add_peer(j, conn);
-      osds_[j]->add_peer(i, conn->reverse());
-    }
-  }
+  connect_osds(0);
 
   // --- VMs ---------------------------------------------------------------
-  const net::Connection::Config client_net =
-      net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
   for (unsigned v = 0; v < cfg_.vms; v++) {
     net::Node& host = *client_nodes_[v % cfg_.client_nodes];
     vms_.push_back(std::make_unique<client::VmClient>(
@@ -175,18 +143,12 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     if (auto* tr = trace::Collector::active()) {
       tr->name_track(trace::client_track(v + 1), "vm." + std::to_string(v));
     }
-    for (unsigned i = 0; i < total_osds; i++) {
-      net::Connection* conn = vms_.back()->messenger().connect(osds_[i]->messenger(), client_net);
-      vms_.back()->add_osd_conn(i, conn);
-    }
+    connect_vm(*vms_.back(), 0);
   }
 
   // --- membership plane (kDetected only; kOracle builds none of this) ----
   if (cfg_.membership.detected()) {
-    std::vector<osd::Osd*> roster;
-    roster.reserve(osds_.size());
-    for (auto& o : osds_) roster.push_back(o.get());
-    for (auto& o : osds_) o->set_cluster_osds(roster);
+    for (auto& o : osds_) o->set_cluster_osds(osd_roster());
 
     mon_node_ = std::make_unique<net::Node>(sim_, "mon",
                                             net::Node::Config{4, 1250 * kMiB});
@@ -216,18 +178,65 @@ ClusterSim::ClusterSim(ClusterConfig cfg)
     // registration orders are part of the determinism contract (publish
     // iterates them).
     for (unsigned i = 0; i < total_osds; i++) {
-      net::Connection* conn = mon_msgr_->connect(osds_[i]->messenger(), cluster_net);
+      net::Connection* conn = mon_msgr_->connect(osds_[i]->messenger(), cluster_net_);
       monitor_->add_osd_subscriber(i, conn);
       osds_[i]->set_mon_conn(conn->reverse());
     }
     for (auto& vm : vms_) {
-      monitor_->add_client_subscriber(mon_msgr_->connect(vm->messenger(), client_net));
+      monitor_->add_client_subscriber(mon_msgr_->connect(vm->messenger(), client_net_));
       vm->set_membership(cfg_.membership);
     }
     for (unsigned i = 0; i < total_osds; i++) {
       osds_[i]->start_membership(cfg_.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
     }
   }
+}
+
+unsigned ClusterSim::add_osd_node() {
+  const unsigned n = unsigned(osd_nodes_.size());
+  osd_nodes_.push_back(std::make_unique<net::Node>(
+      sim_, "node." + std::to_string(n), net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
+  nvrams_.push_back(
+      std::make_unique<dev::NvramModel>(sim_, "nvram." + std::to_string(n), cfg_.nvram));
+  return n;
+}
+
+void ClusterSim::add_osd(unsigned node) {
+  const std::uint32_t id = std::uint32_t(osds_.size());
+  cmap_.crush().add_osd(id, node);
+  // Paper §4.1: "OSD 1~4 uses 3,3,2,2 SSDs respectively", RAID-0.
+  dev::SsdModel::Config ssd_cfg = cfg_.ssd;
+  ssd_cfg.drives = (id % cfg_.osds_per_node) < 2 ? 3 : 2;
+  ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(id), ssd_cfg));
+  osds_.push_back(std::make_unique<osd::Osd>(
+      sim_, *osd_nodes_[node], *nvrams_[node], *ssds_[id], cmap_, id, cfg_.osd, cfg_.profile,
+      store_cfg_, cfg_.kv, throttle_cfg_, cfg_.log));
+  if (auto* tr = trace::Collector::active()) {
+    tr->name_track(trace::osd_track(id), "osd." + std::to_string(id));
+  }
+}
+
+void ClusterSim::connect_osds(std::size_t first_new) {
+  for (std::size_t i = 0; i < osds_.size(); i++) {
+    for (std::size_t j = std::max(i + 1, first_new); j < osds_.size(); j++) {
+      net::Connection* conn = osds_[i]->messenger().connect(osds_[j]->messenger(), cluster_net_);
+      osds_[i]->add_peer(std::uint32_t(j), conn);
+      osds_[j]->add_peer(std::uint32_t(i), conn->reverse());
+    }
+  }
+}
+
+void ClusterSim::connect_vm(client::VmClient& vm, std::size_t first_new) {
+  for (std::size_t i = first_new; i < osds_.size(); i++) {
+    vm.add_osd_conn(std::uint32_t(i), vm.messenger().connect(osds_[i]->messenger(), client_net_));
+  }
+}
+
+std::vector<osd::Osd*> ClusterSim::osd_roster() const {
+  std::vector<osd::Osd*> roster;
+  roster.reserve(osds_.size());
+  for (const auto& o : osds_) roster.push_back(o.get());
+  return roster;
 }
 
 ClusterSim::~ClusterSim() {
@@ -336,18 +345,14 @@ Counters ClusterSim::counters() const {
 
 fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
   if (injector_ == nullptr) {
-    std::vector<osd::Osd*> osds;
     std::vector<dev::SsdModel*> ssds;
     std::vector<net::Messenger*> endpoints;
-    for (auto& o : osds_) {
-      osds.push_back(o.get());
-      endpoints.push_back(&o->messenger());
-    }
+    for (auto& o : osds_) endpoints.push_back(&o->messenger());
     for (auto& s : ssds_) ssds.push_back(s.get());
     for (auto& vm : vms_) endpoints.push_back(&vm->messenger());
     if (mon_msgr_ != nullptr) endpoints.push_back(mon_msgr_.get());
     injector_ = std::make_unique<fault::FaultInjector>(
-        sim_, cmap_, std::move(osds), std::move(ssds), std::move(endpoints), cfg_.seed);
+        sim_, cmap_, osd_roster(), std::move(ssds), std::move(endpoints), cfg_.seed);
     injector_->set_detected(cfg_.membership.detected());
     injector_->set_monitor(mon_msgr_.get());
   }
@@ -355,117 +360,59 @@ fault::FaultInjector& ClusterSim::install_faults(const fault::FaultPlan& plan) {
   return *injector_;
 }
 
-sim::CoTask<std::uint64_t> ClusterSim::rebalance(
-    const std::vector<std::vector<std::uint32_t>>& old_acting) {
+sim::CoTask<std::uint64_t> ClusterSim::rebalance(const osd::ActingSets& before) {
+  const std::vector<osd::Osd*> osds = osd_roster();
   std::uint64_t migrated = 0;
-  if (cmap_.erasure()) {
-    // EC recovery is positional: ec_remap pins surviving shards to their
-    // slots, so only the changed positions lost a shard — rebuild each by
-    // decode-from-peers instead of copying a whole replica.
-    std::vector<osd::Osd*> raw;
-    raw.reserve(osds_.size());
-    for (auto& o : osds_) raw.push_back(o.get());
-    for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-      const auto& acting = cmap_.acting(pg);
-      if (acting == old_acting[pg]) continue;
-      for (std::uint32_t member : acting) {
-        if (member == cluster::ClusterMap::kNoOsd) continue;
-        osds_[member]->set_pg_acting(pg, acting);
-      }
-      for (unsigned pos = 0; pos < acting.size(); pos++) {
-        const std::uint32_t member = acting[pos];
-        if (member == cluster::ClusterMap::kNoOsd) continue;
-        const bool changed =
-            pos >= old_acting[pg].size() || old_acting[pg][pos] != member;
-        if (!changed) continue;
-        migrated +=
-            co_await osd::ec_rebuild_position(sim_, cmap_, raw, pg, pos, *osds_[member]);
-      }
-    }
-    co_return migrated;
-  }
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
-    const auto& acting = cmap_.acting(pg);
-    if (acting == old_acting[pg]) continue;
-    // Pick a surviving member of the old set as the backfill source.
-    osd::Osd* source = nullptr;
-    for (std::uint32_t member : old_acting[pg]) {
-      if (cmap_.crush().osds()[member].up) {
-        source = osds_[member].get();
-        break;
-      }
-    }
-    for (std::uint32_t member : acting) {
-      osds_[member]->set_pg_acting(pg, acting);
-      const bool newcomer = std::find(old_acting[pg].begin(), old_acting[pg].end(), member) ==
-                            old_acting[pg].end();
-      if (newcomer && source != nullptr) {
-        migrated += co_await source->push_pg(pg, *osds_[member]);
-      }
-    }
-    // Survivors that are no longer in the acting set keep stale data; a real
-    // cluster trims it lazily, which we skip.
+  for (const osd::RecoveryTarget& t : osd::plan_recovery(cmap_, osds, before)) {
+    migrated += co_await osd::recover(sim_, cmap_, osds, t);
   }
   co_return migrated;
 }
 
 sim::CoTask<std::uint64_t> ClusterSim::decommission_osd(std::uint32_t osd_id) {
-  std::vector<std::vector<std::uint32_t>> old_acting(cfg_.pg_num);
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) old_acting[pg] = cmap_.acting(pg);
+  const osd::ActingSets before = osd::snapshot_acting(cmap_);
   cmap_.crush().set_up(osd_id, false);
   cmap_.bump_epoch();
-  co_return co_await rebalance(old_acting);
+  co_return co_await rebalance(before);
 }
 
 sim::CoTask<std::uint64_t> ClusterSim::add_node() {
-  std::vector<std::vector<std::uint32_t>> old_acting(cfg_.pg_num);
-  for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) old_acting[pg] = cmap_.acting(pg);
-
-  const unsigned node_index = unsigned(osd_nodes_.size());
-  osd_nodes_.push_back(std::make_unique<net::Node>(
-      sim_, "node." + std::to_string(node_index),
-      net::Node::Config{cfg_.node_cores, 1250 * kMiB}));
-  nvrams_.push_back(std::make_unique<dev::NvramModel>(
-      sim_, "nvram." + std::to_string(node_index), cfg_.nvram));
-
-  const osd::ThrottleSet::Config throttle_cfg = cfg_.profile.ssd_throttles
-                                                    ? osd::ThrottleSet::Config::ssd_tuned()
-                                                    : osd::ThrottleSet::Config::community();
-  const net::Connection::Config cluster_net = net::NetProfile::cluster(cfg_.net);
-  const net::Connection::Config client_net =
-      net::NetProfile::client(cfg_.net, !cfg_.profile.disable_nagle);
-  const store::StoreConfig store_cfg{cfg_.store_backend, cfg_.fs, cfg_.flash};
-
+  const osd::ActingSets before = osd::snapshot_acting(cmap_);
+  const unsigned node = add_osd_node();
   const std::size_t first_new = osds_.size();
-  for (unsigned k = 0; k < cfg_.osds_per_node; k++) {
-    const std::uint32_t id = std::uint32_t(osds_.size());
-    cmap_.crush().add_osd(id, node_index);
-    dev::SsdModel::Config ssd_cfg = cfg_.ssd;
-    ssd_cfg.sustained = cfg_.sustained;
-    ssd_cfg.drives = k < 2 ? 3 : 2;
-    ssds_.push_back(std::make_unique<dev::SsdModel>(sim_, "ssd." + std::to_string(id), ssd_cfg));
-    osds_.push_back(std::make_unique<osd::Osd>(
-        sim_, *osd_nodes_[node_index], *nvrams_[node_index], *ssds_[id], cmap_, id, cfg_.osd,
-        cfg_.profile, store_cfg, cfg_.kv, throttle_cfg, cfg_.log));
-    if (auto* tr = trace::Collector::active()) {
-      tr->name_track(trace::osd_track(id), "osd." + std::to_string(id));
-    }
-  }
-  // Wire the new OSDs to everyone (existing OSDs and all VMs).
-  for (std::size_t n = first_new; n < osds_.size(); n++) {
-    for (std::size_t o = 0; o < osds_.size(); o++) {
-      if (o == n) continue;
-      net::Connection* conn = osds_[n]->messenger().connect(osds_[o]->messenger(), cluster_net);
-      osds_[n]->add_peer(std::uint32_t(o), conn);
-      osds_[o]->add_peer(std::uint32_t(n), conn->reverse());
-    }
-    for (auto& vm : vms_) {
-      net::Connection* conn = vm->messenger().connect(osds_[n]->messenger(), client_net);
-      vm->add_osd_conn(std::uint32_t(n), conn);
-    }
-  }
+  for (unsigned k = 0; k < cfg_.osds_per_node; k++) add_osd(node);
+  // Wire the new OSDs to everyone (existing OSDs, each other and all VMs).
+  connect_osds(first_new);
+  for (auto& vm : vms_) connect_vm(*vm, first_new);
   cmap_.bump_epoch();
-  co_return co_await rebalance(old_acting);
+  co_return co_await rebalance(before);
+}
+
+sim::CoTask<bool> ClusterSim::scrub_copy(store::ObjectStore& store, const fs::ObjectId& oid,
+                                         std::optional<std::uint64_t> want,
+                                         ScrubReport& report) {
+  if (!store.object_in_memory(oid)) {
+    report.missing++;
+    co_return false;
+  }
+  co_await store.read(oid, 0, store.object_size(oid), /*want_data=*/false);
+  if (store.verify_object(oid) && (!want.has_value() || store.object_fingerprint(oid) == *want)) {
+    co_return true;
+  }
+  report.inconsistent++;
+  co_return false;
+}
+
+sim::CoTask<void> ClusterSim::scrub_repair(osd::Osd& member, const fs::ObjectId& oid,
+                                           store::ObjectExport data, const fs::ObjectId& traced,
+                                           ScrubReport& report) {
+  co_await member.recover_object(oid, std::move(data));
+  report.repaired++;
+  member.counters().add("osd.scrub_objects_repaired");
+  if (auto* tr = trace::Collector::active()) {
+    tr->instant(trace::Span{fs::ObjectIdHash{}(traced) | 1, trace::kFaultTrack},
+                tr->stage_id(stage::kScrubRepair), sim_.now());
+  }
 }
 
 sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub(bool repair) {
@@ -478,14 +425,10 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub(bool repair) {
     // Union of object names across the acting set (a replica could hold an
     // object the primary somehow lost).
     std::set<fs::ObjectId> names;
-    bool any = false;
     for (auto member : acting) {
-      for (auto& oid : osds_[member]->store().objects_in_pg(pg)) {
-        names.insert(std::move(oid));
-        any = true;
-      }
+      for (auto& oid : osds_[member]->store().objects_in_pg(pg)) names.insert(std::move(oid));
     }
-    if (!any) continue;
+    if (names.empty()) continue;
     report.pgs_scrubbed++;
     for (const auto& oid : names) {
       report.objects_scrubbed++;
@@ -502,32 +445,16 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub(bool repair) {
         }
       }
       const std::uint64_t want = auth->store().object_fingerprint(oid);
-      // Deep scrub reads every replica's bytes (charged), self-checks its
-      // checksums, and compares fingerprints against the authoritative copy.
       std::vector<std::uint32_t> bad_members;
       for (auto member : acting) {
-        auto& store = osds_[member]->store();
-        if (!store.object_in_memory(oid)) {
-          report.missing++;
-          bad_members.push_back(member);
-          continue;
-        }
-        co_await store.read(oid, 0, store.object_size(oid), /*want_data=*/false);
-        if (!store.verify_object(oid) || store.object_fingerprint(oid) != want) {
-          report.inconsistent++;
-          bad_members.push_back(member);
-        }
+        const bool good = co_await scrub_copy(osds_[member]->store(), oid, want, report);
+        if (!good) bad_members.push_back(member);
       }
       if (!bad_members.empty() && repair) {
         for (auto member : bad_members) {
           if (osds_[member].get() == auth) continue;
-          co_await osds_[member]->recover_object(oid, auth->store().export_object(oid));
-          report.repaired++;
-          osds_[member]->counters().add("osd.scrub_objects_repaired");
-          if (auto* tr = trace::Collector::active()) {
-            tr->instant(trace::Span{fs::ObjectIdHash{}(oid) | 1, trace::kFaultTrack},
-                        tr->stage_id(stage::kScrubRepair), sim_.now());
-          }
+          co_await scrub_repair(*osds_[member], oid, auth->store().export_object(oid), oid,
+                                report);
         }
       }
     }
@@ -540,12 +467,6 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
   const unsigned k = cmap_.ec_k();
   const unsigned m = cmap_.ec_m();
   ec::Codec codec(k, m);
-  const auto extent_at = [](const fs::FileStore::ObjectExport& exp,
-                            std::uint64_t off) -> const Payload* {
-    for (const auto& [eoff, pay] : exp.extents)
-      if (eoff == off) return &pay;
-    return nullptr;
-  };
   for (std::uint32_t pg = 0; pg < cfg_.pg_num; pg++) {
     const auto& acting = cmap_.acting(pg);
     if (acting.size() < std::size_t(k) + m) continue;
@@ -571,66 +492,26 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
         const std::uint32_t member = acting[p];
         if (member == cluster::ClusterMap::kNoOsd) continue;  // hole: no store to check
         const fs::ObjectId soid = ec::shard_oid(base_oid, p);
-        auto& store = osds_[member]->store();
-        if (!store.object_in_memory(soid)) {
-          report.missing++;
-          bad.push_back(p);
-          continue;
-        }
-        co_await store.read(soid, 0, store.object_size(soid), /*want_data=*/false);
-        if (!store.verify_object(soid)) {
-          report.inconsistent++;
-          bad.push_back(p);
-        }
+        const bool good = co_await scrub_copy(osds_[member]->store(), soid, std::nullopt, report);
+        if (!good) bad.push_back(p);
       }
       if (!bad.empty() && repair) {
-        std::vector<unsigned> src_pos;
-        std::vector<fs::FileStore::ObjectExport> src_exp;
-        std::vector<std::pair<std::string, kv::Value>> xattrs;
-        for (unsigned p = 0; p < k + m && src_pos.size() < k; p++) {
+        std::vector<osd::ShardSource> srcs;
+        for (unsigned p = 0; p < k + m && srcs.size() < k; p++) {
           const std::uint32_t member = acting[p];
           if (member == cluster::ClusterMap::kNoOsd) continue;
           if (std::find(bad.begin(), bad.end(), p) != bad.end()) continue;
-          auto exp = osds_[member]->store().export_object(ec::shard_oid(base_oid, p));
-          if (xattrs.empty()) xattrs = exp.xattrs;
-          src_pos.push_back(p);
-          src_exp.push_back(std::move(exp));
+          const fs::ObjectId soid = ec::shard_oid(base_oid, p);
+          srcs.push_back(osd::ShardSource{p, osds_[member]->store().export_object(soid)});
         }
-        if (src_pos.size() >= k) {
-          std::map<std::uint64_t, std::uint64_t> extents;
-          for (const auto& e : src_exp)
-            for (const auto& [off, pay] : e.extents)
-              extents[off] = std::max(extents[off], pay.size());
+        // With fewer than k clean shards nothing is recoverable right now;
+        // a torn tail extent is phase 2's problem.
+        if (srcs.size() >= k) {
           for (unsigned p : bad) {
-            const std::uint32_t member = acting[p];
-            if (member == cluster::ClusterMap::kNoOsd) continue;
-            fs::FileStore::ObjectExport out;
-            for (const auto& [off, len] : extents) {
-              std::vector<unsigned> present;
-              std::vector<std::vector<std::uint8_t>> chunks;
-              for (std::size_t s = 0; s < src_pos.size(); s++) {
-                const Payload* pay = extent_at(src_exp[s], off);
-                if (pay == nullptr || present.size() >= k) continue;
-                auto bytes = pay->materialize();
-                bytes.resize(len, 0);
-                present.push_back(src_pos[s]);
-                chunks.push_back(std::move(bytes));
-              }
-              if (present.size() < k) continue;  // torn tail: phase 2's problem
-              auto chunk = codec.reconstruct_shard(p, present, chunks);
-              if (!chunk.has_value()) continue;
-              out.size = std::max(out.size, off + chunk->size());
-              out.extents.emplace_back(off, Payload::bytes(std::move(*chunk)));
-            }
+            store::ObjectExport out = osd::reconstruct_shard(codec, p, srcs);
             if (out.extents.empty()) continue;
-            out.xattrs = xattrs;
-            co_await osds_[member]->recover_object(ec::shard_oid(base_oid, p), std::move(out));
-            report.repaired++;
-            osds_[member]->counters().add("osd.scrub_objects_repaired");
-            if (auto* tr = trace::Collector::active()) {
-              tr->instant(trace::Span{fs::ObjectIdHash{}(base_oid) | 1, trace::kFaultTrack},
-                          tr->stage_id(stage::kScrubRepair), sim_.now());
-            }
+            co_await scrub_repair(*osds_[acting[p]], ec::shard_oid(base_oid, p), std::move(out),
+                                  base_oid, report);
           }
         }
       }
@@ -667,7 +548,7 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
       for (const auto& [off, len] : offsets) {
         std::vector<std::vector<std::uint8_t>> data;
         for (unsigned j = 0; j < k; j++) {
-          const Payload* pay = extent_at(all[j], off);
+          const Payload* pay = osd::extent_at(all[j], off);
           auto bytes = pay != nullptr ? pay->materialize() : std::vector<std::uint8_t>();
           bytes.resize(len, 0);
           data.push_back(std::move(bytes));
@@ -675,7 +556,7 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
         auto parity = codec.encode(data);
         for (unsigned p = 0; p < k + m; p++) {
           const std::vector<std::uint8_t>& want = p < k ? data[p] : parity[p - k];
-          const Payload* stored = extent_at(all[p], off);
+          const Payload* stored = osd::extent_at(all[p], off);
           const bool same =
               stored != nullptr && stored->size() == len && stored->materialize() == want;
           if (!same) {
@@ -699,14 +580,8 @@ sim::CoTask<ClusterSim::ScrubReport> ClusterSim::deep_scrub_ec(bool repair) {
         if (!needs[p]) continue;
         const std::uint32_t member = acting[p];
         fixed[p].xattrs = all[p].xattrs.empty() ? all[0].xattrs : all[p].xattrs;
-        co_await osds_[member]->recover_object(ec::shard_oid(base_oid, p),
-                                               std::move(fixed[p]));
-        report.repaired++;
-        osds_[member]->counters().add("osd.scrub_objects_repaired");
-        if (auto* tr = trace::Collector::active()) {
-          tr->instant(trace::Span{fs::ObjectIdHash{}(base_oid) | 1, trace::kFaultTrack},
-                      tr->stage_id(stage::kScrubRepair), sim_.now());
-        }
+        co_await scrub_repair(*osds_[member], ec::shard_oid(base_oid, p), std::move(fixed[p]),
+                              base_oid, report);
       }
     }
   }

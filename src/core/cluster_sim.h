@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 
 #include "client/runner.h"
 #include "core/profile.h"
@@ -12,6 +13,7 @@
 #include "fault/injector.h"
 #include "mon/monitor.h"
 #include "osd/osd.h"
+#include "osd/recovery.h"
 
 namespace afc::core {
 
@@ -220,14 +222,38 @@ class ClusterSim {
   void report_observability();
 
  private:
-  /// Recompute acting sets against `old_acting` and backfill newcomers.
-  sim::CoTask<std::uint64_t> rebalance(
-      const std::vector<std::vector<std::uint32_t>>& old_acting);
+  /// Recover every PG whose acting set moved from `before`, one target at
+  /// a time (osd/recovery.h). Returns objects pushed plus shards rebuilt.
+  sim::CoTask<std::uint64_t> rebalance(const osd::ActingSets& before);
   /// EC pools: per-shard CRC + stripe parity-consistency scrub, repairing by
   /// reconstruction (replicated pools use the fingerprint-vote scrub).
   sim::CoTask<ScrubReport> deep_scrub_ec(bool repair);
+  /// Deep-scrub one copy: read it (charged), self-check its checksums and,
+  /// given `want`, its fingerprint; counts it missing or inconsistent.
+  sim::CoTask<bool> scrub_copy(store::ObjectStore& store, const fs::ObjectId& oid,
+                               std::optional<std::uint64_t> want, ScrubReport& report);
+  /// Install a repaired copy at `member` and count it; the trace instant is
+  /// keyed by `traced` (the object, or an EC shard's base).
+  sim::CoTask<void> scrub_repair(osd::Osd& member, const fs::ObjectId& oid,
+                                 store::ObjectExport data, const fs::ObjectId& traced,
+                                 ScrubReport& report);
+
+  // Building, shared by the constructor and add_node(): a node with its
+  // NVRAM (returns its index), the next OSD with its SSD, each OSD pair
+  // with a member at index >= `first_new` wired once, a VM wired to those.
+  unsigned add_osd_node();
+  void add_osd(unsigned node);
+  void connect_osds(std::size_t first_new);
+  void connect_vm(client::VmClient& vm, std::size_t first_new);
+  /// Every OSD by id (`roster[i]` has id i).
+  std::vector<osd::Osd*> osd_roster() const;
 
   ClusterConfig cfg_;
+  // Per-OSD construction configs, derived from cfg_ once.
+  osd::ThrottleSet::Config throttle_cfg_;
+  store::StoreConfig store_cfg_;
+  net::Connection::Config cluster_net_;
+  net::Connection::Config client_net_;
   /// run()'s client stats sink. A member, not a run() local: ops that
   /// resolve after run() returns still record into it.
   client::RunStats stats_;

@@ -8,6 +8,7 @@
 #include "fault/plan.h"
 #include "net/messenger.h"
 #include "osd/osd.h"
+#include "osd/recovery.h"
 #include "sim/simulation.h"
 
 namespace afc::fault {
@@ -23,11 +24,12 @@ namespace afc::fault {
 ///
 /// Crash semantics: the OSD's messenger is blackholed (sends and deliveries
 /// vanish, no CPU is charged for the dead daemon), the OSD is marked down
-/// in CRUSH and the epoch bumps, so clients and peers re-target. Surviving
-/// members of every re-homed PG get their new acting set pushed, and PGs
-/// are re-replicated to newcomers from a surviving member (asynchronous
-/// backfill). Restart reverses the blackhole + down-mark and backfills the
-/// returned OSD, which may have missed writes while dead.
+/// in CRUSH and the epoch bumps, so clients and peers re-target. Every
+/// member of a re-homed PG gets its new acting set, and the members that
+/// need data recover it in the background (osd/recovery.h: a push from a
+/// surviving member, or an EC shard decode). Restart reverses the
+/// blackhole + down-mark and recovers the returned OSD, which may have
+/// missed writes while dead.
 class FaultInjector {
  public:
   /// `osds[i]` must be the OSD with id i; `ssds[i]` its data device.
@@ -67,12 +69,10 @@ class FaultInjector {
   /// Apply `f` to both directions of every connection matching (osd, peer);
   /// peer == kAllPeers matches every link touching `osd`.
   void set_link_fault(std::uint32_t osd, std::uint32_t peer, const net::Connection::Fault& f);
-  /// Recompute acting sets after a CRUSH up/down flip, push them to the
-  /// surviving/new members, and backfill newcomers asynchronously.
-  void retarget_pgs(const std::vector<std::vector<std::uint32_t>>& old_acting);
-  /// EC pools: positional recovery — every changed shard position is rebuilt
-  /// by decode-from-peers (osd::ec_rebuild_position) instead of copied.
-  void retarget_pgs_ec(const std::vector<std::vector<std::uint32_t>>& old_acting);
+  /// After a CRUSH up/down flip: install every changed PG at its new
+  /// members and recover the ones that need data in the background
+  /// (osd/recovery.h).
+  void retarget_pgs(const osd::ActingSets& before);
   void trace_event(std::size_t idx);
 
   sim::Simulation& sim_;

@@ -184,6 +184,9 @@ struct OpCtx {
   unsigned commits_needed = 0;
   unsigned commits_seen = 0;
   bool acked = false;
+  /// Holds its message throttle units (taken at admission, given back once:
+  /// at the op's exit, or at a crash of the daemon that admitted it).
+  bool holds_throttle = false;
   trace::Span span;  // set at dispatch only while tracing; invalid otherwise
   std::array<Time, kStageCount> ts{};
 

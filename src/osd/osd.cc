@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "ec/layout.h"
-#include "osd/ec_rebuild.h"
+#include "osd/recovery.h"
 
 namespace afc::osd {
 
@@ -211,16 +211,18 @@ sim::CoTask<void> Osd::dispatch_client_op(std::shared_ptr<ClientIoMsg> msg,
     co_await throttles_.messages.acquire(1);
     co_await throttles_.message_bytes.acquire(throttle_bytes(*msg));
   }
+  const Time throttled_at = sim_.now();
   co_await charge_cpu(cfg_.dispatch_cpu, true);
 
   auto op = std::make_shared<OpCtx>();
   op->msg = msg;
   op->reply_conn = conn;
+  op->holds_throttle = qos_ == nullptr;
   op->stamp(kStRecv, sim_.now());
   if (auto* tr = trace::Collector::active()) {
     op->span = trace::Span{msg->op_id, trace::osd_track(id_)};
-    if (const Time waited_until = sim_.now(); qos_ == nullptr && waited_until > throttle_t0) {
-      tr->complete(op->span, tr->stage_id(stage::kDispatchThrottle), throttle_t0, waited_until);
+    if (qos_ == nullptr && throttled_at > throttle_t0) {
+      tr->complete(op->span, tr->stage_id(stage::kDispatchThrottle), throttle_t0, throttled_at);
     }
     tr->begin(op->span, tr->stage_id(msg->is_write ? stage::kWriteOp : stage::kReadOp),
               sim_.now());
@@ -246,6 +248,7 @@ sim::CoTask<void> Osd::qos_admit(WorkItem item) {
   const Time throttle_t0 = sim_.now();
   co_await throttles_.messages.acquire(1);
   co_await throttles_.message_bytes.acquire(throttle_bytes(msg));
+  item.op->holds_throttle = true;
   if (auto* tr = trace::Collector::active();
       tr != nullptr && item.op->span.valid() && sim_.now() > throttle_t0) {
     tr->complete(item.op->span, tr->stage_id(stage::kDispatchThrottle), throttle_t0,
@@ -744,7 +747,7 @@ void Osd::fail_op(OpRef op) {
   disarm_rep_timer(*op);
   counters_.add("osd.write_failures");
   const ClientIoMsg& msg = *op->msg;
-  retire_op(msg);
+  retire_op(*op);
   if (profile_.ordered_acks && msg.is_write) {
     // Drop the failed op from the ordered-ack ledger, then release any acks
     // it was holding back.
@@ -1248,13 +1251,13 @@ void Osd::send_ack(OpRef& op) {
                    op->ts[kStRepAcked]);
     }
   }
-  retire_op(msg);
+  retire_op(*op);
   send_client_reply(msg, op->reply_conn, op->span, std::make_shared<IoReplyMsg>());
 }
 
 void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                           std::optional<std::vector<std::uint8_t>> data) {
-  retire_op(*op->msg);
+  retire_op(*op);
   auto reply = std::make_shared<IoReplyMsg>();
   reply->ok = ok;
   reply->data_len = data_len;
@@ -1262,11 +1265,17 @@ void Osd::send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
   send_client_reply(*op->msg, op->reply_conn, op->span, std::move(reply));
 }
 
-void Osd::retire_op(const ClientIoMsg& msg) {
-  throttles_.messages.release(1);
-  throttles_.message_bytes.release(throttle_bytes(msg));
+void Osd::retire_op(OpCtx& op) {
+  release_throttle(op);
   if (qos_ != nullptr) qos_->op_done();
-  inflight_.erase(msg.op_id);
+  inflight_.erase(op.msg->op_id);
+}
+
+void Osd::release_throttle(OpCtx& op) {
+  if (!op.holds_throttle) return;
+  op.holds_throttle = false;
+  throttles_.messages.release(1);
+  throttles_.message_bytes.release(throttle_bytes(*op.msg));
 }
 
 void Osd::send_client_reply(const ClientIoMsg& msg, net::Connection* conn,
@@ -1283,82 +1292,6 @@ void Osd::send_client_reply(const ClientIoMsg& msg, net::Connection* conn,
   if (auto* tr = trace::Collector::active(); tr != nullptr && span.valid()) {
     tr->end(span, tr->stage_id(msg.is_write ? stage::kWriteOp : stage::kReadOp), sim_.now());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Recovery / map changes
-// ---------------------------------------------------------------------------
-
-void Osd::set_pg_acting(std::uint32_t pgid, std::vector<std::uint32_t> acting) {
-  Pg* pg = find_pg(pgid);
-  if (pg == nullptr) {
-    create_pg(pgid, std::move(acting));
-  } else {
-    pg->set_acting(std::move(acting));
-  }
-}
-
-sim::CoTask<std::uint64_t> Osd::push_pg(std::uint32_t pgid, Osd& target) {
-  std::uint64_t pushed = 0;
-  Pg* src_pg = find_pg(pgid);
-  for (const auto& oid : store_->objects_in_pg(pgid)) {
-    // Delta backfill: journal replay (or an earlier push) may already have
-    // restored this object at the target — skip identical content. After a
-    // push, re-check and re-push: a client write that applied at the target
-    // mid-copy is wiped by the snapshot install while the source keeps it,
-    // so one pass can leave the replica stale under live traffic.
-    unsigned attempts = 0;
-    while (attempts < 4) {
-      // The export must reflect every write this source has admitted for
-      // the object: under backlog the filestore lags the journal by
-      // hundreds of ms, and an export taken in that window would "repair"
-      // an up-to-date replica backwards (the replica applied those writes
-      // already; the snapshot install erases them, and the source's late
-      // apply then diverges the copies for good).
-      co_await wait_object_readable(oid);
-      if (target.store().object_in_memory(oid) &&
-          target.store().object_fingerprint(oid) == store_->object_fingerprint(oid)) {
-        break;
-      }
-      auto data = store_->export_object(oid);
-      std::uint64_t bytes = 0;
-      for (const auto& [off, payload] : data.extents) bytes += payload.size();
-      // Source read, wire transfer, then installation at the target.
-      if (bytes > 0) {
-        co_await store_->read(oid, 0, data.size, /*want_data=*/false);
-        co_await node_.nic_transmit(bytes + 512);
-        co_await sim::delay(sim_, 60 * kMicrosecond, "osd.push_hop");
-      }
-      co_await target.recover_object(oid, std::move(data));
-      attempts++;
-    }
-    if (attempts == 0) {
-      counters_.add("osd.backfill_skipped");
-    } else {
-      pushed++;
-    }
-  }
-  // Sync the version stream so the target can continue the PG log.
-  if (src_pg != nullptr) {
-    if (Pg* dst_pg = target.find_pg(pgid)) dst_pg->observe_version(src_pg->version());
-  }
-  co_return pushed;
-}
-
-sim::CoTask<void> Osd::recover_object(const fs::ObjectId& oid,
-                                      store::ObjectExport data) {
-  // Replace, don't merge: scrub compares whole-object fingerprints, so the
-  // recovered replica must reproduce the source's exact extent layout —
-  // stale extents in ranges the source never wrote may not survive.
-  store_->remove_object(oid);
-  fs::Transaction txn;
-  for (auto& [off, payload] : data.extents) txn.write(oid, off, std::move(payload));
-  if (!data.xattrs.empty()) txn.setattrs(oid, std::move(data.xattrs));
-  co_await store_->apply_transaction(txn, /*lightweight=*/true);
-  ObjectMeta meta;
-  meta.exists = true;
-  meta.size = data.size;
-  meta_cache_.insert(oid, meta);
 }
 
 // ---------------------------------------------------------------------------
@@ -1455,58 +1388,37 @@ void Osd::apply_map_delta(const MapDeltaMsg& delta) {
   for (std::uint32_t o : delta.laggy)
     if (o < n) known_laggy_[o] = true;
 
-  // Re-derive this OSD's PGs under the new map (ascending pgid: spawn order
-  // is part of the determinism contract). The primary of each changed PG
-  // drives recovery toward members that just (re)joined the acting set —
-  // the detected-mode counterpart of the injector's oracle retarget.
-  std::vector<std::uint32_t> pgids;
-  pgids.reserve(pgs_.size());
-  for (const auto& [pgid, pg] : pgs_) pgids.push_back(pgid);
-  std::sort(pgids.begin(), pgids.end());
-  for (std::uint32_t pgid : pgids) {
-    Pg& pg = *pgs_[pgid];
-    const std::vector<std::uint32_t> now_acting = cmap_.acting(pgid);
-    const std::vector<std::uint32_t> old_acting = pg.acting();
-    if (now_acting == old_acting) continue;
-    pg.set_acting(now_acting);
-    if (cluster_osds_.empty()) continue;
-    std::uint32_t prim = cluster::ClusterMap::kNoOsd;
-    for (std::uint32_t m : now_acting) {
-      if (m != cluster::ClusterMap::kNoOsd) {
-        prim = m;
-        break;
-      }
+  // Re-derive this OSD's PGs under the new map, in ascending pgid (spawn
+  // order is part of the determinism contract): every PG it holds, and every
+  // PG it now leads without holding it. The primary of each changed PG
+  // drives its recovery — the detected-mode counterpart of the injector's
+  // oracle crash/restart.
+  for (std::uint32_t pgid = 0; pgid < cmap_.pool().pg_num; pgid++) {
+    const std::vector<std::uint32_t>& now = cmap_.acting(pgid);
+    Pg* pg = find_pg(pgid);
+    std::vector<std::uint32_t> old;
+    if (pg != nullptr) {
+      if (pg->acting() == now) continue;
+      old = pg->acting();
+      pg->set_acting(now);
     }
-    if (prim != id_) continue;
-    if (cmap_.erasure()) {
-      for (unsigned pos = 0; pos < unsigned(now_acting.size()); pos++) {
-        const std::uint32_t member = now_acting[pos];
-        if (member == cluster::ClusterMap::kNoOsd || member == id_) continue;
-        const bool changed =
-            pos >= old_acting.size() || old_acting[pos] != member;
-        if (!changed) continue;
-        counters_.add("osd.map_rebuilds");
-        sim::spawn_fn([this, pgid, pos, member]() -> sim::CoTask<void> {
-          co_await ec_rebuild_position(sim_, cmap_, cluster_osds_, pgid, pos,
-                                       *cluster_osds_[member]);
-        });
-      }
-    } else {
-      for (std::uint32_t member : now_acting) {
-        if (member == id_) continue;
-        if (std::find(old_acting.begin(), old_acting.end(), member) !=
-            old_acting.end()) {
-          continue;
-        }
-        // A brand-new member may not hold the PG yet: install it (acting
-        // set included) before the backfill pushes objects at it.
-        cluster_osds_[member]->set_pg_acting(pgid, now_acting);
-        counters_.add("osd.map_backfills");
-        Osd* dst = cluster_osds_[member];
-        sim::spawn_fn([this, pgid, dst]() -> sim::CoTask<void> {
-          co_await push_pg(pgid, *dst);
-        });
-      }
+    if (cmap_.primary(pgid) != id_ || cluster_osds_.empty()) continue;
+    Osd* source = this;
+    if (pg == nullptr) {
+      // A primary new to the PG has no earlier acting set and no data: the
+      // members' own PGs tell which slots they already served, and
+      // replicated members copy from the first of those.
+      old = served_slots(cmap_, cluster_osds_, pgid);
+      const auto served = std::find_if(old.begin(), old.end(), [](std::uint32_t m) {
+        return m != cluster::ClusterMap::kNoOsd;
+      });
+      source = served == old.end() ? nullptr : cluster_osds_[*served];
+    }
+    for (const RecoveryTarget& t : plan_pg_recovery(cmap_, cluster_osds_, pgid, old, source)) {
+      counters_.add(t.decode() ? "osd.map_rebuilds" : "osd.map_backfills");
+      sim::spawn_fn([this, t]() -> sim::CoTask<void> {
+        co_await recover(sim_, cmap_, cluster_osds_, t);
+      });
     }
   }
   if (hb_ != nullptr) hb_->refresh_peers();
@@ -1514,6 +1426,10 @@ void Osd::apply_map_delta(const MapDeltaMsg& delta) {
 
 void Osd::on_crash() {
   if (hb_ != nullptr) hb_->on_crash();
+  // The dead daemon's ops give their message throttle units back now: a
+  // zombie whose replication stalls never reaches an exit (the watchdog
+  // finds ops through inflight_), and one that does exit returns nothing.
+  for (auto& [op_id, op] : inflight_) release_throttle(*op);
   inflight_.clear();
   ack_state_.clear();
   // A store with a deferred-write ledger loses it with the daemon's RAM;

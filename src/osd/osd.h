@@ -132,13 +132,13 @@ class Osd : public net::Receiver {
 
   sim::CoTask<void> on_message(net::Message m) override;
 
-  // --- recovery / map changes -------------------------------------------
-  /// Update a PG's acting set after a CRUSH map change (creates the PG if
-  /// this OSD just joined it).
-  void set_pg_acting(std::uint32_t pgid, std::vector<std::uint32_t> acting);
+  // --- recovery (defined in osd/recovery.cc) ----------------------------
   /// Re-replicate one PG's objects to `target` (backfill): charges source
   /// reads, network transfer, and target writes.
   sim::CoTask<std::uint64_t> push_pg(std::uint32_t pgid, Osd& target);
+  /// Export `oid` for a peer's recovery, charged as a source read, a wire
+  /// transfer and one recovery hop.
+  sim::CoTask<store::ObjectExport> ship_object(const fs::ObjectId& oid);
   /// Install one recovered object (charged as a light apply).
   sim::CoTask<void> recover_object(const fs::ObjectId& oid, store::ObjectExport data);
   /// Ceph's ondisk_read_lock: wait until the object's in-flight (journaled
@@ -341,8 +341,11 @@ class Osd : public net::Receiver {
   void send_read_reply(OpRef& op, bool ok, std::uint64_t data_len,
                        std::optional<std::vector<std::uint8_t>> data);
   /// An admitted op leaves the OSD: give back its message throttle units
-  /// and QoS window slot, and drop it from the op ledger.
-  void retire_op(const ClientIoMsg& msg);
+  /// (unless a crash already did) and QoS window slot, and drop it from the
+  /// op ledger.
+  void retire_op(OpCtx& op);
+  /// Give back the message throttle units `op` still holds, once.
+  void release_throttle(OpCtx& op);
   /// Build and send a client reply (`reply` carries the outcome), then end
   /// the op's span. A fence reply passes no span: its op was never
   /// admitted, so it holds no throttle units either.

@@ -365,46 +365,20 @@ TEST(FaultInjector, BitFlipsAreFoundAndRepairedByDeepScrub) {
 
 // ---------------------------------------------------------------------------
 // Op exits: every way a client op leaves an OSD (ack, read reply, degraded
-// read, failure, epoch fence) gives back the message throttle units it took
-// at dispatch. The plan partitions rather than crashes: Osd::on_crash drops
-// in-flight ops without returning their units, a known gap not covered here.
+// read, failure, epoch fence, a crash of the daemon holding it) gives back
+// the message throttle units it took at dispatch, and gives them back once.
 
-TEST(OpExit, EveryExitReleasesMessageThrottles) {
-  core::ClusterConfig cfg;
-  cfg.profile = core::Profile::afceph();
-  cfg.osd_nodes = 6;
-  cfg.osds_per_node = 1;
-  cfg.client_nodes = 1;
-  cfg.vms = 2;
-  cfg.pg_num = 32;
-  cfg.ec_pool = true;
-  cfg.ec_k = 4;
-  cfg.ec_m = 2;
-  cfg.sustained = false;
-  cfg.image_size = 16 * kMiB;  // small images: reads re-hit written stripes
-  cfg.seed = 42;
-  cfg.osd.rep_timeout = 20 * kMillisecond;
-  cfg.osd.rep_retries = 1;
-  cfg.client_op_timeout = 250 * kMillisecond;
-  cfg.client_op_retries = 4;
-  cfg.membership.mode = mon::MembershipMode::kDetected;
+/// Drive 4K I/O against `plan`, drain for `drain` past the window, and check
+/// every client op resolved and every OSD's message throttles are idle.
+/// Returns the cluster-wide counters for the case's own evidence.
+Counters expect_throttles_released(const core::ClusterConfig& cfg, const fault::FaultPlan& plan,
+                                   double write_fraction, Time runtime, Time drain) {
   core::ClusterSim cluster(cfg);
-
-  // osd.1 loses its peers and the monitor but keeps its clients: its
-  // stripes cannot reach the k+1 ack floor (writes fail), reads decode
-  // around its shard, and once the monitor marks it down, ops routed with
-  // the old map are fenced.
-  fault::FaultPlan plan;
-  for (std::uint32_t peer = 0; peer < 6; peer++) {
-    if (peer != 1) plan.link_partition(150 * kMillisecond, 1, peer, 300 * kMillisecond);
-  }
-  plan.link_partition(150 * kMillisecond, 1, fault::kMonPeer, 300 * kMillisecond);
   cluster.install_faults(plan);
-
   auto spec = client::WorkloadSpec::rand_write(4096, 4);
-  spec.write_fraction = 0.5;
+  spec.write_fraction = write_fraction;
   spec.warmup = 50 * kMillisecond;
-  spec.runtime = 700 * kMillisecond;
+  spec.runtime = runtime;
   client::RunStats stats;
   stats.window_start = spec.warmup;
   stats.window_end = spec.warmup + spec.runtime;
@@ -412,7 +386,7 @@ TEST(OpExit, EveryExitReleasesMessageThrottles) {
     cluster.vm(v).start(spec, stats.window_end, &stats);
   }
   // Heartbeat timers re-arm forever: drain for a fixed window.
-  cluster.simulation().run_until(stats.window_end + 2 * kSecond);
+  cluster.simulation().run_until(stats.window_end + drain);
 
   std::uint64_t begun = 0, resolved = 0;
   for (std::size_t v = 0; v < cluster.vm_count(); v++) {
@@ -420,18 +394,66 @@ TEST(OpExit, EveryExitReleasesMessageThrottles) {
     resolved += cluster.vm(v).ops_resolved();
   }
   EXPECT_EQ(begun, resolved);
-  const Counters c = cluster.counters();
-  EXPECT_GT(c.get("osd.write_failures"), 0u);
-  EXPECT_GT(c.get("osd.ec_reconstruct_reads"), 0u);
-  EXPECT_GT(c.get("osd.fenced_ops"), 0u);
   for (std::size_t o = 0; o < cluster.osd_count(); o++) {
     osd::ThrottleSet& t = cluster.osd(o).throttles();
     EXPECT_EQ(t.messages.in_use(), 0u) << "osd." << o;
     EXPECT_EQ(t.message_bytes.in_use(), 0u) << "osd." << o;
   }
-
+  const Counters c = cluster.counters();
   cluster.close_all();
   cluster.simulation().run();
+  return c;
+}
+
+TEST(OpExit, EveryExitReleasesMessageThrottles) {
+  {
+    core::ClusterConfig cfg;
+    cfg.profile = core::Profile::afceph();
+    cfg.osd_nodes = 6;
+    cfg.osds_per_node = 1;
+    cfg.client_nodes = 1;
+    cfg.vms = 2;
+    cfg.pg_num = 32;
+    cfg.ec_pool = true;
+    cfg.ec_k = 4;
+    cfg.ec_m = 2;
+    cfg.sustained = false;
+    cfg.image_size = 16 * kMiB;  // small images: reads re-hit written stripes
+    cfg.seed = 42;
+    cfg.osd.rep_timeout = 20 * kMillisecond;
+    cfg.osd.rep_retries = 1;
+    cfg.client_op_timeout = 250 * kMillisecond;
+    cfg.client_op_retries = 4;
+    cfg.membership.mode = mon::MembershipMode::kDetected;
+
+    // osd.1 loses its peers and the monitor but keeps its clients: its
+    // stripes cannot reach the k+1 ack floor (writes fail), reads decode
+    // around its shard, and once the monitor marks it down, ops routed with
+    // the old map are fenced.
+    fault::FaultPlan plan;
+    for (std::uint32_t peer = 0; peer < 6; peer++) {
+      if (peer != 1) plan.link_partition(150 * kMillisecond, 1, peer, 300 * kMillisecond);
+    }
+    plan.link_partition(150 * kMillisecond, 1, fault::kMonPeer, 300 * kMillisecond);
+    const Counters c = expect_throttles_released(cfg, plan, 0.5, 700 * kMillisecond, 2 * kSecond);
+    EXPECT_GT(c.get("osd.write_failures"), 0u);
+    EXPECT_GT(c.get("osd.ec_reconstruct_reads"), 0u);
+    EXPECT_GT(c.get("osd.fenced_ops"), 0u);
+  }
+  {
+    // Two daemons crash mid-write, one after the other. Each crash drops
+    // the ops it held; their units come back at the crash, and the zombie
+    // ops that still resolve afterwards must not return them a second time.
+    core::ClusterConfig cfg = small_cluster(42);
+    cfg.osd.rep_timeout = 20 * kMillisecond;
+    cfg.client_op_timeout = 250 * kMillisecond;
+    cfg.client_op_retries = 4;
+    fault::FaultPlan plan;
+    plan.crash_restart(120 * kMillisecond, 1, 50 * kMillisecond);
+    plan.crash_restart(200 * kMillisecond, 2, 50 * kMillisecond);
+    const Counters c = expect_throttles_released(cfg, plan, 1.0, 400 * kMillisecond, 3 * kSecond);
+    EXPECT_EQ(c.get("fault.osd_crash"), 2u);
+  }
 }
 
 }  // namespace

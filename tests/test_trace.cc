@@ -175,5 +175,37 @@ TEST(TraceCluster, CollectorStagesMatchOsdBreakdown) {
   EXPECT_EQ(sc.c.mismatched(), 0u);
 }
 
+TEST(TraceCluster, DispatchThrottleSpansOnlyWhenAnAcquireBlocks) {
+  // The osd.dispatch.throttle stage is time spent waiting for the message
+  // throttles, not dispatch CPU. AFCeph's SSD-sized caps never block at
+  // this load, so the stage stays empty.
+  {
+    ScopedCollector sc;
+    core::ClusterSim cluster(trace_cluster());
+    cluster.run(small_mixed());
+    EXPECT_GT(sc.c.stage_count(stage::kWriteOp), 0u);
+    EXPECT_EQ(sc.c.stage_count(stage::kDispatchThrottle), 0u);
+  }
+  // Community's 100-message cap with 128 ops in flight per OSD does block:
+  // the stage records at most one span per blocked acquire.
+  ScopedCollector sc;
+  core::ClusterConfig cfg = trace_cluster();
+  cfg.profile = core::Profile::community();
+  cfg.osd_nodes = 2;
+  cfg.osds_per_node = 1;
+  cfg.vms = 4;
+  core::ClusterSim cluster(cfg);
+  auto spec = small_mixed();
+  spec.iodepth = 64;
+  cluster.run(spec);
+  std::uint64_t blocked = 0;
+  for (std::size_t i = 0; i < cluster.osd_count(); i++) {
+    blocked += cluster.osd(i).throttles().messages.blocked_acquires() +
+               cluster.osd(i).throttles().message_bytes.blocked_acquires();
+  }
+  EXPECT_GT(sc.c.stage_count(stage::kDispatchThrottle), 0u);
+  EXPECT_LE(sc.c.stage_count(stage::kDispatchThrottle), blocked);
+}
+
 }  // namespace
 }  // namespace afc
