@@ -1,5 +1,7 @@
 #include "common/payload.h"
 
+#include <algorithm>
+
 namespace afc {
 
 namespace {
@@ -13,9 +15,30 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-// Deterministic pattern byte at absolute stream position i of stream `seed`.
-std::uint8_t pattern_byte(std::uint64_t seed, std::uint64_t i) {
-  return std::uint8_t(mix64(seed + (i >> 3)) >> ((i & 7) * 8));
+// Byte i of a pattern stream is byte (i & 7), little-endian, of the stream
+// word mix64(seed + (i >> 3)). Calls f(word, lo, hi) once per word that
+// [pos, pos + len) touches, where lanes [lo, hi) of the word lie in the range,
+// until f returns false; returns whether every call returned true.
+template <class F>
+bool for_each_word(std::uint64_t seed, std::uint64_t pos, std::uint64_t len, F&& f) {
+  while (len > 0) {
+    const unsigned lo = unsigned(pos & 7);
+    const unsigned hi = unsigned(std::min<std::uint64_t>(8, lo + len));
+    if (!f(mix64(seed + (pos >> 3)), lo, hi)) return false;
+    pos += hi - lo;
+    len -= hi - lo;
+  }
+  return true;
+}
+
+std::uint64_t load_le(const std::uint8_t* p) {
+  std::uint64_t w = 0;
+  for (unsigned k = 0; k < 8; k++) w |= std::uint64_t(p[k]) << (k * 8);
+  return w;
+}
+
+void store_le(std::uint8_t* p, std::uint64_t w) {
+  for (unsigned k = 0; k < 8; k++) p[k] = std::uint8_t(w >> (k * 8));
 }
 
 }  // namespace
@@ -50,8 +73,24 @@ std::uint64_t Payload::fingerprint() const {
 std::vector<std::uint8_t> Payload::materialize() const {
   if (!is_virtual()) return *bytes_;
   std::vector<std::uint8_t> out(len_);
-  for (std::uint64_t i = 0; i < len_; i++) out[i] = pattern_byte(seed_, off_ + i);
+  copy_to(out.data());
   return out;
+}
+
+void Payload::copy_to(std::uint8_t* out) const {
+  if (!is_virtual()) {
+    std::copy(bytes_->begin(), bytes_->end(), out);
+    return;
+  }
+  for_each_word(seed_, off_, len_, [&out](std::uint64_t w, unsigned lo, unsigned hi) {
+    if (hi - lo == 8) {
+      store_le(out, w);
+      out += 8;
+    } else {
+      for (unsigned k = lo; k < hi; k++) *out++ = std::uint8_t(w >> (k * 8));
+    }
+    return true;
+  });
 }
 
 Payload Payload::slice(std::uint64_t off, std::uint64_t len) const {
@@ -67,7 +106,20 @@ bool Payload::content_equals(const Payload& other) const {
   if (len_ == 0) return true;  // all empty payloads are equal
   if (is_virtual() && other.is_virtual()) return seed_ == other.seed_ && off_ == other.off_;
   if (!is_virtual() && !other.is_virtual()) return *bytes_ == *other.bytes_;
-  return materialize() == other.materialize();
+  const Payload& pattern = is_virtual() ? *this : other;
+  const std::uint8_t* in = (is_virtual() ? *other.bytes_ : *bytes_).data();
+  return for_each_word(pattern.seed_, pattern.off_, len_,
+                       [&in](std::uint64_t w, unsigned lo, unsigned hi) {
+                         if (hi - lo == 8) {
+                           const bool same = load_le(in) == w;
+                           in += 8;
+                           return same;
+                         }
+                         for (unsigned k = lo; k < hi; k++) {
+                           if (*in++ != std::uint8_t(w >> (k * 8))) return false;
+                         }
+                         return true;
+                       });
 }
 
 }  // namespace afc

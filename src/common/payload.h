@@ -33,11 +33,15 @@ class Payload {
 
   /// Expand to real bytes (deterministic for virtual payloads).
   std::vector<std::uint8_t> materialize() const;
+  /// materialize() into `out`, which must hold size() bytes.
+  void copy_to(std::uint8_t* out) const;
 
   /// Sub-range [off, off+len) of this payload as a new payload (O(1) for
   /// virtual payloads, copy for real ones).
   Payload slice(std::uint64_t off, std::uint64_t len) const;
 
+  /// Same bytes? Real bytes are checked against a virtual pattern in place,
+  /// without expanding the pattern into a buffer.
   bool content_equals(const Payload& other) const;
 
  private:

@@ -1,5 +1,10 @@
 #include "common/rng.h"
 
+#include <bit>
+#include <map>
+#include <mutex>
+#include <utility>
+
 namespace afc {
 
 namespace {
@@ -65,27 +70,40 @@ double Rng::lognormal(double mean, double sigma) {
   return mean * std::exp(sigma * z - 0.5 * sigma * sigma);
 }
 
+const Rng::ZipfTable& Rng::zipf_table(std::uint64_t n, double theta) {
+  // Keyed on theta's bit pattern: exact, and total even for NaN. std::map
+  // nodes never move, so the returned reference outlives the lock.
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, std::uint64_t>, ZipfTable> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto [it, fresh] = memo.try_emplace({n, std::bit_cast<std::uint64_t>(theta)});
+  ZipfTable& t = it->second;
+  if (fresh) {
+    double zeta = 0.0;
+    for (std::uint64_t i = 1; i <= n; i++) zeta += 1.0 / std::pow(double(i), theta);
+    t.n = n;
+    t.theta = theta;
+    t.zeta = zeta;
+    t.alpha = 1.0 / (1.0 - theta);
+    t.eta = (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) /
+            (1.0 - (1.0 / std::pow(2.0, theta)) / zeta);
+    t.rank1 = 1.0 + std::pow(0.5, theta);
+  }
+  return t;
+}
+
 std::uint64_t Rng::zipf(std::uint64_t n, double theta) {
   if (n <= 1) return 0;
   if (theta <= 0.0) return uniform_int(0, n - 1);
-  if (zipf_n_ != n || zipf_theta_ != theta) {
-    double zeta = 0.0;
-    for (std::uint64_t i = 1; i <= n; i++) zeta += 1.0 / std::pow(double(i), theta);
-    zipf_n_ = n;
-    zipf_theta_ = theta;
-    zipf_zeta_ = zeta;
-  }
+  if (zipf_ == nullptr || zipf_->n != n || zipf_->theta != theta) zipf_ = &zipf_table(n, theta);
   // Inverse-CDF by linear walk would be O(n); use the standard rejection-free
   // approximation (Gray et al.) good enough for workload skew.
-  const double alpha = 1.0 / (1.0 - theta);
-  const double zetan = zipf_zeta_;
-  const double eta =
-      (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) / (1.0 - (1.0 / std::pow(2.0, theta)) / zetan);
+  const ZipfTable& t = *zipf_;
   const double u = uniform();
-  const double uz = u * zetan;
+  const double uz = u * t.zeta;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta)) return 1;
-  auto v = std::uint64_t(double(n) * std::pow(eta * u - eta + 1.0, alpha));
+  if (uz < t.rank1) return 1;
+  auto v = std::uint64_t(double(n) * std::pow(t.eta * u - t.eta + 1.0, t.alpha));
   if (v >= n) v = n - 1;
   return v;
 }

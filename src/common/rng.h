@@ -32,6 +32,8 @@ class Rng {
   double lognormal(double mean, double sigma);
 
   /// Zipf-distributed rank in [0, n) with exponent theta (0 = uniform).
+  /// The normaliser and the per-(n, theta) constants are computed once per
+  /// process and shared by every stream (see ZipfTable).
   std::uint64_t zipf(std::uint64_t n, double theta);
 
   /// Bernoulli trial.
@@ -41,11 +43,21 @@ class Rng {
   Rng fork();
 
  private:
+  /// The pure-function part of zipf(): the zeta(n, theta) sum and the
+  /// constants derived from it. One process-wide, mutex-guarded memo entry
+  /// per (n, theta), never freed, so a pointer to it stays valid.
+  struct ZipfTable {
+    std::uint64_t n;
+    double theta;
+    double zeta;
+    double alpha;
+    double eta;
+    double rank1;  // u * zeta below this (and >= 1) draws rank 1
+  };
+  static const ZipfTable& zipf_table(std::uint64_t n, double theta);
+
   std::uint64_t s_[4];
-  // Cached zipf normalization (recomputed when (n, theta) changes).
-  std::uint64_t zipf_n_ = 0;
-  double zipf_theta_ = -1.0;
-  double zipf_zeta_ = 0.0;
+  const ZipfTable* zipf_ = nullptr;  // entry of the last (n, theta) drawn
 };
 
 }  // namespace afc

@@ -152,10 +152,13 @@ sim::CoTask<void> Connection::sender_loop() {
     co_await local_.node().nic_transmit(f->wire_size);
     const Time prop = cfg_.prop_latency + fault_.added_delay;
     co_await sim::delay(local_.simulation(), prop, "net.propagation");
+    // Both receive queues are unbounded, so a push only fails when close()
+    // ran while the frame was on the wire: the frame vanishes, as it does
+    // for a send after close().
     if (rx_target_ != nullptr) {
       rx_target_->push(rx_shard_, this, std::move(*f));
     } else {
-      co_await rx_.push(std::move(*f));
+      rx_.try_push(std::move(*f));
     }
     frame_done();
   }

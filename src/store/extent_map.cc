@@ -68,13 +68,17 @@ void ExtentMap::write_extent(Object& obj, std::uint64_t off, Payload data) {
 std::vector<std::uint8_t> ExtentMap::assemble(const Object& obj, std::uint64_t off,
                                               std::uint64_t n) {
   std::vector<std::uint8_t> out(n, 0);
-  for (const auto& [estart, ext] : obj.extents) {
-    const std::uint64_t eend = estart + ext.data.size();
-    if (eend <= off || estart >= off + n) continue;
+  // Extents never overlap: the only one starting before `off` that can reach
+  // into the range is the last of them.
+  auto it = obj.extents.upper_bound(off);
+  if (it != obj.extents.begin()) it = std::prev(it);
+  for (; it != obj.extents.end() && it->first < off + n; ++it) {
+    const std::uint64_t estart = it->first;
+    const std::uint64_t eend = estart + it->second.data.size();
+    if (eend <= off) continue;
     const std::uint64_t from = std::max(estart, off);
     const std::uint64_t to = std::min(eend, off + n);
-    auto piece = ext.data.slice(from - estart, to - from).materialize();
-    std::copy(piece.begin(), piece.end(), out.begin() + long(from - off));
+    it->second.data.slice(from - estart, to - from).copy_to(out.data() + (from - off));
   }
   return out;
 }

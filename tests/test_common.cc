@@ -80,6 +80,61 @@ TEST(Rng, ZipfThetaZeroIsUniform) {
   for (int k = 0; k < 10; k++) EXPECT_NEAR(counts[std::uint64_t(k)], 3000, 400);
 }
 
+// Zipf draws are pinned bit for bit: the per-(n, theta) normaliser and
+// constants are memoised process-wide, and no stream may see a different
+// rank for it. The values were recorded from the per-stream implementation
+// that summed zeta once per stream, in the same order.
+constexpr std::uint64_t kZipfBig[64] = {
+    365694, 207, 4173288, 69651, 270171, 12925, 9, 16688, 35, 2032404,
+    8407, 613771, 50948, 1, 770, 6852, 38, 0, 10879, 2056,
+    17, 737106, 33890, 5023, 373950, 12, 1100, 2538824, 4867, 841100,
+    1, 26914, 91166, 111, 4193147, 86005, 252039, 810, 6140, 294563,
+    643373, 19, 2070, 13645, 0, 920, 29847, 11212, 157425, 62,
+    130677, 2919, 1667, 341667, 22978, 21, 119090, 24, 33484, 1,
+    34903, 3265704, 558834, 3059771};
+constexpr std::uint64_t kZipfSmall[64] = {
+    387, 17, 924, 206, 345, 106, 1, 117, 7, 718,
+    89, 467, 183, 0, 32, 81, 7, 0, 99, 49,
+    5, 500, 156, 71, 390, 1, 37, 777, 71, 524,
+    0, 142, 229, 13, 925, 224, 337, 32, 78, 357,
+    475, 5, 49, 108, 0, 34, 148, 100, 282, 9,
+    263, 57, 44, 377, 133, 5, 254, 6, 155, 0,
+    158, 848, 452, 829};
+// One stream alternating zipf(5242880, 0.99) and zipf(1000, 0.9).
+constexpr std::uint64_t kZipfAlternating[64] = {
+    365694, 17, 4173288, 206, 270171, 106, 9, 117, 35, 718,
+    8407, 467, 50948, 0, 770, 81, 38, 0, 10879, 49,
+    17, 500, 33890, 71, 373950, 1, 1100, 777, 4867, 524,
+    1, 142, 91166, 13, 4193147, 224, 252039, 32, 6140, 357,
+    643373, 5, 2070, 108, 0, 34, 29847, 100, 157425, 9,
+    130677, 57, 1667, 377, 22978, 5, 119090, 6, 33484, 0,
+    34903, 848, 558834, 829};
+constexpr std::uint64_t kBigN = 5242880;  // a 20 GiB image in 4K blocks
+
+TEST(Rng, ZipfGoldenDraws) {
+  Rng big(42), small(42);
+  for (int i = 0; i < 64; i++) {
+    EXPECT_EQ(big.zipf(kBigN, 0.99), kZipfBig[i]) << "draw " << i;
+    EXPECT_EQ(small.zipf(1000, 0.9), kZipfSmall[i]) << "draw " << i;
+  }
+}
+
+TEST(Rng, ZipfStreamsSharingAnEntryDrawTheGolden) {
+  Rng a(42), b(42);
+  for (int i = 0; i < 64; i++) {
+    EXPECT_EQ(a.zipf(1000, 0.9), kZipfSmall[i]) << "draw " << i;
+    EXPECT_EQ(b.zipf(1000, 0.9), kZipfSmall[i]) << "draw " << i;
+  }
+}
+
+TEST(Rng, ZipfAlternatingPairsDrawTheGolden) {
+  Rng r(42);
+  for (int i = 0; i < 64; i++) {
+    const std::uint64_t v = i % 2 == 0 ? r.zipf(kBigN, 0.99) : r.zipf(1000, 0.9);
+    EXPECT_EQ(v, kZipfAlternating[i]) << "draw " << i;
+  }
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng a(21);
   Rng b = a.fork();
@@ -205,6 +260,51 @@ TEST(Payload, ContentEqualsAcrossRepresentations) {
   EXPECT_TRUE(v.content_equals(r));
   EXPECT_TRUE(r.content_equals(v));
   EXPECT_FALSE(v.content_equals(Payload::pattern(256, 100)));
+}
+
+// Byte i of pattern stream `seed`, written out one byte at a time.
+std::uint8_t reference_pattern_byte(std::uint64_t seed, std::uint64_t i) {
+  std::uint64_t x = seed + (i >> 3);
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdull;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ull;
+  x ^= x >> 33;
+  return std::uint8_t(x >> ((i & 7) * 8));
+}
+
+TEST(Payload, MaterializeMatchesBytewise) {
+  const std::uint64_t seed = 0x1234abcdull;
+  for (std::uint64_t off = 0; off < 16; off++) {
+    for (std::uint64_t len : {0, 1, 7, 8, 9, 4095, 4096, 4097}) {
+      const auto bytes = Payload::pattern(len, seed, off).materialize();
+      ASSERT_EQ(bytes.size(), len);
+      for (std::uint64_t i = 0; i < len; i++) {
+        ASSERT_EQ(bytes[i], reference_pattern_byte(seed, off + i))
+            << "off " << off << " len " << len << " byte " << i;
+      }
+    }
+  }
+}
+
+TEST(Payload, ContentEqualsBytesVsPatternAgreesWithMaterialize) {
+  for (std::uint64_t off : {0, 3, 8}) {
+    for (std::uint64_t len : {1, 13, 4096}) {
+      const Payload pattern = Payload::pattern(len, 77, off);
+      auto same = pattern.materialize();
+      auto flipped = same;
+      flipped[len / 2] ^= 0x01;
+      const std::vector<std::uint8_t> shorter(same.begin(), same.end() - 1);
+      for (const auto& bytes : {same, flipped, shorter}) {
+        const Payload real = Payload::bytes(bytes);
+        const bool want = real.materialize() == pattern.materialize();
+        EXPECT_EQ(real.content_equals(pattern), want) << "off " << off << " len " << len;
+        EXPECT_EQ(pattern.content_equals(real), want) << "off " << off << " len " << len;
+      }
+      EXPECT_TRUE(Payload::bytes(same).content_equals(pattern));
+      EXPECT_FALSE(Payload::bytes(flipped).content_equals(pattern));
+    }
+  }
 }
 
 TEST(Payload, FingerprintIdentity) {

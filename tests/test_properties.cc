@@ -15,6 +15,7 @@
 #include <set>
 
 #include "core/cluster_sim.h"
+#include "store/extent_map.h"
 
 namespace afc {
 namespace {
@@ -88,6 +89,48 @@ TEST_P(ExtentMapProperty, RandomWritesMatchReferenceBuffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentMapProperty, ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// assemble() seeks to the extent covering the window's start instead of
+// walking the whole map: every window of an object with hundreds of small
+// extents (virtual and real, with holes between them) still reads what a
+// flat buffer holds.
+TEST(ExtentMap, AssembleMatchesReferenceOverManyExtents) {
+  constexpr std::uint64_t kObjectSize = 256 * 1024;
+  std::vector<std::uint8_t> reference(kObjectSize, 0);
+  store::ExtentMap::Object obj;
+  Rng rng(7);
+  for (int i = 0; i < 2000; i++) {
+    const std::uint64_t off = rng.uniform_int(0, kObjectSize - 1);
+    const std::uint64_t len = rng.uniform_int(1, std::min<std::uint64_t>(kObjectSize - off, 200));
+    Payload data = Payload::pattern(len, 500 + std::uint64_t(i), rng.uniform_int(0, 15));
+    if (i % 3 == 0) data = Payload::bytes(data.materialize());
+    const auto bytes = data.materialize();
+    std::copy(bytes.begin(), bytes.end(), reference.begin() + long(off));
+    store::ExtentMap::write_extent(obj, off, std::move(data));
+  }
+  ASSERT_GT(obj.extents.size(), 500u);
+
+  auto expect_window = [&](std::uint64_t off, std::uint64_t n) {
+    const auto got = store::ExtentMap::assemble(obj, off, n);
+    ASSERT_EQ(got.size(), n);
+    for (std::uint64_t b = 0; b < n; b++) {
+      const std::uint8_t want = off + b < kObjectSize ? reference[off + b] : 0;
+      ASSERT_EQ(got[b], want) << "window [" << off << ", +" << n << ") byte " << b;
+    }
+  };
+  for (int i = 0; i < 400; i++) {
+    const std::uint64_t off = rng.uniform_int(0, kObjectSize - 1);
+    expect_window(off, rng.uniform_int(0, std::min<std::uint64_t>(kObjectSize - off, 5000)));
+  }
+  // Each extent's own bounds, a window inside it, and the byte on either side.
+  for (const auto& [start, ext] : obj.extents) {
+    expect_window(start, ext.data.size());
+    expect_window(start + 1, ext.data.size() > 2 ? ext.data.size() - 2 : 0);
+    expect_window(start > 0 ? start - 1 : 0, ext.data.size() + 2);
+  }
+  expect_window(0, kObjectSize);
+  expect_window(kObjectSize - 10, 100);  // runs past the last extent
+}
 
 // ---------------------------------------------------------------------------
 // LSM Db vs std::map across configuration corners
