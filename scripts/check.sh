@@ -8,9 +8,8 @@
 # membership smoke (fig17 gate: crash detected within the heartbeat bound,
 # zero false downs) plus its oracle byte-identity check, run the chaos
 # fault-injection soak (all legs, including the FlashStore store and
-# detected-membership legs), re-run that soak under ASan+UBSan, then run
-# the rt/ concurrency stress harness natively and under ThreadSanitizer.
-# Exits non-zero on the first failure.
+# detected-membership legs), then re-run that soak and the fault/recovery
+# unit tests under ASan+UBSan. Exits non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -128,13 +127,13 @@ echo "=== bench/chaos (fault injection + recovery invariants) ==="
 "$BUILD_DIR/bench/chaos"
 
 echo
-echo "=== bench/chaos under ASan+UBSan ==="
+echo "=== bench/chaos and afceph_fault_tests under ASan+UBSan ==="
 # Leak detection stays on, with one suppression: coroutine frames still
 # suspended at exit (device worker loops; RPC waiters stranded by injected
 # crashes — their reply never arrives, by design). See scripts/lsan.supp.
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-build-asan}"
 cmake -B "$ASAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFC_SANITIZE=ON
-cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos
+cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)" --target chaos afceph_fault_tests
 # The corruption leg first, on its own: torn-write replay, CRC verification
 # and scrub repair walk raw record bytes, so a memory bug there should fail
 # with a focused label before the full soak runs.
@@ -162,23 +161,10 @@ LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   "$ASAN_BUILD_DIR/bench/chaos"
 echo "sanitized chaos soak OK"
-
-echo
-echo "=== rt stress harness (native, 100 seeded iterations) ==="
-"$BUILD_DIR/tests/stress_rt" --iters 100 --seed 1
-
-echo
-echo "=== rt stress + unit tests under TSan ==="
-# TSan cannot be combined with ASan, so it gets its own build tree. The
-# stress harness exercises every rt/ primitive with randomized thread
-# fleets and mid-flight close()/shutdown(); any data race or lifecycle
-# violation fails the run. scripts/tsan.supp is empty on purpose — keep it
-# that way unless a race is provably benign AND documented there.
-TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-build-tsan}"
-cmake -B "$TSAN_BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DAFC_SANITIZE=thread
-cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)" --target stress_rt afceph_rt_tests
-TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-  "$TSAN_BUILD_DIR/tests/stress_rt" --iters 25 --seed 1
-TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-  "$TSAN_BUILD_DIR/tests/afceph_rt_tests"
-echo "TSan rt stress OK"
+# The fault, EC, membership and recovery unit tests drive the same recovery
+# code as the soak, one scenario at a time, so a sanitizer report names the
+# scenario. The whole binary runs: no test is filtered out.
+LSAN_OPTIONS="suppressions=$PWD/scripts/lsan.supp" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  "$ASAN_BUILD_DIR/tests/afceph_fault_tests"
+echo "sanitized fault/recovery unit tests OK"

@@ -176,6 +176,11 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
   Rng backoff_rng((client_id_ << 32) ^ (ops_begun_ * 0x9e3779b97f4a7c15ull));
   unsigned attempt = 0;
   unsigned fence_resubmits = 0;
+  // Set on every way the client abandons the op (no route to the primary,
+  // timeout retries spent, fence resubmits spent): it resolves as failed
+  // and is counted once in ops_failed_. An answer from the OSD, even a read
+  // that found nothing, is not a failure.
+  bool gave_up = false;
   for (;;) {
     auto msg = std::make_shared<osd::ClientIoMsg>();
     msg->op_id = (client_id_ << 24) | next_seq_++;
@@ -200,7 +205,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
     const std::uint32_t primary = resolve_primary(msg->pg, is_write);
     auto conn_it = osd_conns_.find(primary);
     if (conn_it == osd_conns_.end()) {
-      p.ok = false;
+      gave_up = true;
       break;
     }
 
@@ -235,8 +240,7 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
         tr->instant(span, tr->stage_id(stage::kClientRetry), sim_.now());
       }
       if (attempt >= op_max_retries_) {
-        p.ok = false;
-        ops_failed_++;
+        gave_up = true;
         break;
       }
       attempt++;
@@ -246,11 +250,15 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
       co_await sim::delay(sim_, backoff, "client.backoff");
       continue;
     }
-    if (p.fenced && fence_resubmits < 8) {
+    if (p.fenced) {
       // The op was fenced, never admitted: re-resolve under the learned
       // epoch and go again at once. Not a timeout retry — no backoff, no
       // charge against the attempt budget. The bound only backstops a
       // monitor publishing epochs faster than this client can learn them.
+      if (fence_resubmits >= 8) {
+        gave_up = true;
+        break;
+      }
       fence_resubmits++;
       p = PendingOp{};
       continue;
@@ -261,6 +269,10 @@ sim::CoTask<VmClient::PendingOp> VmClient::issue_one(bool is_write, std::uint64_
       tr->complete(span, tr->stage_id(stage::kClientIo), submit_t0, sim_.now());
     }
     break;
+  }
+  if (gave_up) {
+    p.ok = false;
+    ops_failed_++;
   }
   ops_resolved_++;
   co_return p;

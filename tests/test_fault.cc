@@ -371,7 +371,7 @@ TEST(FaultInjector, BitFlipsAreFoundAndRepairedByDeepScrub) {
 /// What a case of `expect_throttles_released` checks on its own.
 struct ExitRun {
   Counters counters;                // cluster-wide
-  std::uint64_t ops_failed = 0;     // client ops that ran out of timeout retries
+  std::uint64_t ops_failed = 0;     // client ops the clients abandoned
   std::uint64_t fenced_replies = 0; // epoch fences the clients received
 };
 

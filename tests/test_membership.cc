@@ -1,8 +1,8 @@
 // Tests for the detected-membership plane: the monitor's failure
 // arbitration (reporter quorum, TTL pruning, flap hysteresis, down-out,
-// laggy flags) driven directly through its public report/beacon cores
-// without a network, the client's seeded retry jitter, and a small
-// end-to-end crash-detection smoke over the full heartbeat stack.
+// laggy flags) driven directly through its public report and beacon cores
+// without a network, the client's seeded retry jitter and fence budget, and
+// a small end-to-end crash-detection smoke over the full heartbeat stack.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,9 @@
 #include "core/cluster_sim.h"
 #include "fault/plan.h"
 #include "mon/monitor.h"
+#include "net/messenger.h"
 #include "sim/simulation.h"
+#include "sim/task.h"
 
 namespace afc::mon {
 namespace {
@@ -188,6 +190,69 @@ TEST(JitteredBackoff, SeededAndBounded) {
     diverged = client::jittered_backoff(base, a2) != client::jittered_backoff(base, c);
   }
   EXPECT_TRUE(diverged);
+}
+
+// A fake OSD that fences every op with an epoch newer than the last one it
+// sent, so the client never catches up and resubmits until its fence budget
+// runs out.
+struct FencingOsd : net::Receiver {
+  std::uint64_t epoch = 1;
+  unsigned fenced = 0;
+
+  sim::CoTask<void> on_message(net::Message m) override {
+    const auto& io = static_cast<const osd::ClientIoMsg&>(*m.body);
+    auto reply = std::make_shared<osd::IoReplyMsg>();
+    reply->op_id = io.op_id;
+    reply->is_write = io.is_write;
+    reply->ok = false;
+    reply->fenced = true;
+    reply->map_epoch = ++epoch;
+    fenced++;
+    net::Message wire;
+    wire.type = io.is_write ? osd::kWriteReply : osd::kReadReply;
+    wire.size = 100;
+    wire.body = std::move(reply);
+    m.reply_to->send(std::move(wire));
+    co_return;
+  }
+};
+
+// An op the client abandons resolves as failed and is counted once, whether
+// the fence budget ran out or there was no connection to the primary.
+TEST(VmClient, AbandonedOpsCountAsFailed) {
+  sim::Simulation sim;
+  net::Node client_node{sim, "client", net::Node::Config{4, 1250 * kMiB}};
+  net::Node osd_node{sim, "osd", net::Node::Config{4, 1250 * kMiB}};
+  cluster::ClusterMap cmap{cluster::ClusterMap::PoolConfig{64, 1}};
+  cmap.crush().add_osd(0, 0);
+  MembershipConfig mcfg;
+  mcfg.mode = MembershipMode::kDetected;
+
+  FencingOsd osd;
+  net::Messenger osd_msgr(sim, osd_node, osd, "osd.0");
+  client::VmClient vm(sim, client_node, cmap, client::RbdImage("vm1", 16 * kMiB), 1, 7);
+  vm.set_membership(mcfg);
+  vm.add_osd_conn(0, vm.messenger().connect(osd_msgr, net::Connection::Config{}));
+  // No connection registered: the primary cannot be reached at all.
+  client::VmClient unrouted(sim, client_node, cmap, client::RbdImage("vm2", 16 * kMiB), 2, 8);
+  unrouted.set_membership(mcfg);
+
+  bool fenced_ok = true;
+  bool unrouted_ok = true;
+  sim::spawn_fn([&]() -> sim::CoTask<void> {
+    fenced_ok = co_await vm.write_once(0, Payload::pattern(4096, 1));
+    unrouted_ok = co_await unrouted.write_once(0, Payload::pattern(4096, 2));
+  });
+  sim.run();
+
+  EXPECT_FALSE(fenced_ok);
+  EXPECT_EQ(osd.fenced, 9u);  // the first attempt plus 8 resubmits
+  EXPECT_EQ(vm.fenced_replies(), 9u);
+  EXPECT_EQ(vm.ops_resolved(), 1u);
+  EXPECT_EQ(vm.ops_failed(), 1u);
+  EXPECT_FALSE(unrouted_ok);
+  EXPECT_EQ(unrouted.ops_resolved(), 1u);
+  EXPECT_EQ(unrouted.ops_failed(), 1u);
 }
 
 // End-to-end: a real crash on the full stack (heartbeats over the
